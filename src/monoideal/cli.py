@@ -173,66 +173,56 @@ def _ordering_from_names(
     return Ordering.from_sequence(tuple(alphabet.index(t) for t in tokens))
 
 
-def parse_nae_file(text: str) -> NaeInstance:
-    """Clause lines of three signed integers; optional `p nae <v> <k>` header."""
+def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str):
+    """Clause lines of signed integers, each optionally 0-terminated.
+
+    An optional `p <kind> <vars> <clauses>` header fixes the variable
+    count; without one it is the largest variable used.  `#` starts a
+    comment, and so does a line starting with `c`.
+    """
     variable_count = None
     clauses = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c "):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "nae":
-                raise ParseError("expected header `p nae <vars> <clauses>`", lineno)
-            variable_count = int(parts[2])
-            continue
-        try:
-            lits = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError("non-integer literal", lineno) from None
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        if len(lits) != 3:
-            raise ParseError("clauses must have exactly three literals", lineno)
-        clauses.append(tuple(lits))
-    if variable_count is None:
-        variable_count = max((abs(l) for c in clauses for l in c), default=0)
-    try:
-        return NaeInstance(variable_count, tuple(clauses))
-    except MonoidealError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def parse_cnf_file(text: str) -> SatInstance:
-    """DIMACS-style CNF: `p cnf <vars> <clauses>` then 0-terminated clauses."""
-    variable_count = None
-    clauses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError("expected header `p cnf <vars> <clauses>`", lineno)
-            variable_count = int(parts[2])
+            if len(parts) != 4 or parts[1] != kind:
+                raise ParseError(f"expected header `p {kind} <vars> <clauses>`", lineno)
+            try:
+                variable_count, _ = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError("non-integer header fields", lineno) from None
             continue
         try:
             lits = [int(p) for p in parts]
         except ValueError:
             raise ParseError("non-integer literal", lineno) from None
-        if lits and lits[-1] == 0:
+        if lits[-1] == 0:
             lits = lits[:-1]
-        if not lits:
-            raise ParseError("empty clause", lineno)
+        if not clause_ok(lits):
+            raise ParseError(clause_error, lineno)
         clauses.append(tuple(lits))
     if variable_count is None:
         variable_count = max((abs(l) for c in clauses for l in c), default=0)
     try:
-        return SatInstance(variable_count, tuple(clauses))
+        return make(variable_count, tuple(clauses))
     except MonoidealError as exc:
         raise ParseError(str(exc)) from None
+
+
+def parse_nae_file(text: str) -> NaeInstance:
+    """Clause lines of three signed integers; optional `p nae <v> <k>` header."""
+    return _parse_clause_file(
+        text, "nae", NaeInstance, lambda c: len(c) == 3,
+        "clauses must have exactly three literals",
+    )
+
+
+def parse_cnf_file(text: str) -> SatInstance:
+    """DIMACS-style CNF: `p cnf <vars> <clauses>` then 0-terminated clauses."""
+    return _parse_clause_file(text, "cnf", SatInstance, bool, "empty clause")
 
 
 def _budget(default: int) -> int:

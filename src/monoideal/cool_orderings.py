@@ -101,12 +101,32 @@ def support_filter(M: Sequence[Monomial], k: int) -> tuple[Monomial, ...]:
     return tuple(m for m in monomial_set(M) if 0 < len(support(m)) <= k)
 
 
-def _ensure_quadratic(M: Sequence[Monomial]) -> tuple[Monomial, ...]:
+def _alphabet_size(ms: tuple[Monomial, ...], alphabet_size: int | None) -> int:
+    if alphabet_size is None:
+        if not ms:
+            raise MonoidealError("alphabet size required for an empty set")
+        return ms[0].n
+    if ms and alphabet_size != ms[0].n:
+        raise MonoidealError("alphabet size does not match the monomials")
+    return alphabet_size
+
+
+def _split_quadratic(
+    M: Sequence[Monomial],
+) -> tuple[tuple[Monomial, ...], set[int], set[tuple[int, int]]]:
+    """The set, the letters whose square it holds, and its products ``(x, y)``, x < y."""
     ms = monomial_set(M)
+    squares = set()
+    pairs = set()
     for m in ms:
         if m.degree != 2:
             raise MonoidealError(f"member of total degree {m.degree} is not quadratic")
-    return ms
+        supp = sorted(support(m))
+        if len(supp) == 1:
+            squares.add(supp[0])
+        else:
+            pairs.add((supp[0], supp[1]))
+    return ms, squares, pairs
 
 
 def quadratic_graph(M: Sequence[Monomial], alphabet_size: int | None = None) -> TGraph:
@@ -116,26 +136,13 @@ def quadratic_graph(M: Sequence[Monomial], alphabet_size: int | None = None) -> 
     is missing from ``M``; T consists of the letters whose square is
     missing.
     """
-    ms = _ensure_quadratic(M)
-    if alphabet_size is None:
-        if not ms:
-            raise MonoidealError("alphabet size required for an empty set")
-        alphabet_size = ms[0].n
-    elif ms and alphabet_size != ms[0].n:
-        raise MonoidealError("alphabet size does not match the monomials")
-    present = set()
-    squares = set()
-    for m in ms:
-        supp = sorted(support(m))
-        if len(supp) == 1:
-            squares.add(supp[0])
-        else:
-            present.add((supp[0], supp[1]))
+    ms, squares, pairs = _split_quadratic(M)
+    alphabet_size = _alphabet_size(ms, alphabet_size)
     edges = [
         (x, y)
         for x in range(alphabet_size)
         for y in range(x + 1, alphabet_size)
-        if (x, y) not in present
+        if (x, y) not in pairs
     ]
     tset = [x for x in range(alphabet_size) if x not in squares]
     return TGraph.make(alphabet_size, edges, tset)
@@ -148,18 +155,10 @@ def quadratic_to_support2(M: Sequence[Monomial]) -> tuple[Monomial, ...]:
     ``x^2 y`` for every other letter ``y`` whose product with ``x`` is
     missing from ``M``.
     """
-    ms = _ensure_quadratic(M)
+    ms, squares, pairs = _split_quadratic(M)
     if not ms:
         return ()
     n = ms[0].n
-    pairs = set()
-    squares = set()
-    for m in ms:
-        supp = sorted(support(m))
-        if len(supp) == 1:
-            squares.add(supp[0])
-        else:
-            pairs.add((supp[0], supp[1]))
     out = [m for m in ms if len(support(m)) == 2]
     for x in sorted(squares):
         for y in range(n):
@@ -191,12 +190,7 @@ def find_cool_ordering(
     """
     ms = ensure_antichain(M, "M")
     ensure_nonunit(ms, "M")
-    if alphabet_size is None:
-        if not ms:
-            raise MonoidealError("alphabet size required for an empty set")
-        alphabet_size = ms[0].n
-    elif ms and alphabet_size != ms[0].n:
-        raise MonoidealError("alphabet size does not match the monomials")
+    alphabet_size = _alphabet_size(ms, alphabet_size)
     if not ms:
         return CoolSearchResult(True, Ordering.identity(alphabet_size), 0)
     if all(m.degree == 2 for m in ms):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Exponent arithmetic is checked against a 64-bit budget: exponents may be
 # given in binary, so silent wraparound would corrupt verdicts.
@@ -263,18 +263,13 @@ def is_extremal(w: Monomial, x: int, ord: Ordering) -> bool:
 
 def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Deduplicate, preserving first-occurrence order."""
-    seen: set[Monomial] = set()
-    out: list[Monomial] = []
-    for m in monomials:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
+    out = tuple(dict.fromkeys(monomials))
     if out:
         n = out[0].n
         for m in out:
             if m.n != n:
                 raise AlphabetMismatchError("monomial set mixes alphabet sizes")
-    return tuple(out)
+    return out
 
 
 def is_antichain(M: Iterable[Monomial]) -> bool:
@@ -348,6 +343,30 @@ def extremal_degree_max(M: Iterable[Monomial], x: int, ord: Ordering) -> int:
         if is_extremal(w, x, ord) and w.exponents[x] > best:
             best = w.exponents[x]
     return best
+
+
+# ---------------------------------------------------------------------------
+# brute-force referee for clause instances
+
+def some_assignment_passes(
+    variable_count: int,
+    clauses: Iterable[Sequence[int]],
+    clause_ok: Callable[[list[bool]], bool],
+) -> bool:
+    """Whether some assignment of variables 1..n passes every clause.
+
+    ``clause_ok`` gets the truth values of a clause's literals (literal
+    ``k`` is true when variable ``k`` is, ``-k`` when it is not).
+    """
+    if variable_count > 24:
+        raise MonoidealError("brute force limited to 24 variables")
+    for bits in range(1 << variable_count):
+        if all(
+            clause_ok([((bits >> (abs(l) - 1)) & 1) == (l > 0) for l in clause])
+            for clause in clauses
+        ):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -57,27 +57,35 @@ def antichains(n: int, max_total_degree: int) -> Iterable[tuple[Monomial, ...]]:
     yield from extend([], 0)
 
 
+def _least_relabeling(rows: Sequence[tuple], n: int) -> tuple:
+    """Least sorted image of the rows over all permutations of their n columns."""
+    return min(
+        tuple(sorted(tuple(map(row.__getitem__, perm)) for row in rows))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _representatives(items: Iterable, canonical) -> Iterable:
+    """The first item of each class, in order; equal canonical forms share a class."""
+    seen: set[tuple] = set()
+    for item in items:
+        canon = canonical(item)
+        if canon not in seen:
+            seen.add(canon)
+            yield item
+
+
 def permutation_canonical(M: Sequence[Monomial], n: int) -> tuple:
     """Least relabeling of the letters, for deduplication."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        image = tuple(
-            sorted(tuple(m.exponents[perm[i]] for i in range(n)) for m in M)
-        )
-        if best is None or image < best:
-            best = image
-    return best
+    return _least_relabeling([m.exponents for m in M], n)
 
 
 def representative_antichains(
     n: int, max_total_degree: int
 ) -> Iterable[tuple[Monomial, ...]]:
-    seen: set[tuple] = set()
-    for M in antichains(n, max_total_degree):
-        canon = permutation_canonical(M, n)
-        if canon not in seen:
-            seen.add(canon)
-            yield M
+    return _representatives(
+        antichains(n, max_total_degree), lambda M: permutation_canonical(M, n)
+    )
 
 
 def check_fg_vs_probe(n: int, max_total_degree: int) -> list:
@@ -137,29 +145,19 @@ def check_squaring(n: int, max_total_degree: int) -> tuple[list, list]:
 
 def quadratic_sets(n: int) -> Iterable[tuple[Monomial, ...]]:
     """Every set of quadratic monomials over n letters (always an antichain)."""
-    quads = []
-    for x in range(n):
-        e = [0] * n
-        e[x] = 2
-        quads.append(Monomial(tuple(e)))
-    for x in range(n):
-        for y in range(x + 1, n):
-            e = [0] * n
-            e[x] = 1
-            e[y] = 1
-            quads.append(Monomial(tuple(e)))
+    # squares x*x first, then products x*y with x < y: the enumeration order
+    # decides which set of each class is its representative
+    letter_pairs = [(x, x) for x in range(n)] + list(itertools.combinations(range(n), 2))
+    quads = [
+        Monomial(tuple((i == x) + (i == y) for i in range(n))) for x, y in letter_pairs
+    ]
     for size in range(1, len(quads) + 1):
         for combo in itertools.combinations(quads, size):
             yield combo
 
 
 def representative_quadratic_sets(n: int) -> Iterable[tuple[Monomial, ...]]:
-    seen: set[tuple] = set()
-    for M in quadratic_sets(n):
-        canon = permutation_canonical(M, n)
-        if canon not in seen:
-            seen.add(canon)
-            yield M
+    return _representatives(quadratic_sets(n), lambda M: permutation_canonical(M, n))
 
 
 def check_quadratic_bridge(n: int) -> list:
@@ -174,42 +172,48 @@ def check_quadratic_bridge(n: int) -> list:
     return bad
 
 
+def _clause_sets(variable_count: int, max_clauses: int, clauses, make) -> Iterable:
+    """Instances of 1..max_clauses distinct clauses, each clause's literals sorted."""
+    pool = sorted({tuple(sorted(c)) for c in clauses})
+    for count in range(1, max_clauses + 1):
+        for chosen in itertools.combinations(pool, count):
+            yield make(variable_count, chosen)
+
+
+def _literals(variable_count: int) -> list[int]:
+    return [l for v in range(1, variable_count + 1) for l in (v, -v)]
+
+
+def _clause_canonical(inst: NaeInstance | SatInstance) -> tuple:
+    """Least relabeling of the variables.
+
+    A clause becomes the row of its (positive, negative) occurrence counts
+    per variable, which forgets only the order of its literals.
+    """
+    variables = range(1, inst.variable_count + 1)
+    rows = [tuple((c.count(v), c.count(-v)) for v in variables) for c in inst.clauses]
+    return _least_relabeling(rows, inst.variable_count)
+
+
 def nae_instances(
     variable_count: int, max_clauses: int
 ) -> Iterable[NaeInstance]:
     """All instances up to clause order and within-clause literal order."""
-    literals = [l for v in range(1, variable_count + 1) for l in (v, -v)]
-    clauses = sorted(
-        set(
-            tuple(sorted(c))
-            for c in itertools.combinations_with_replacement(literals, 3)
-        )
+    clauses = itertools.combinations_with_replacement(_literals(variable_count), 3)
+    return _clause_sets(variable_count, max_clauses, clauses, NaeInstance)
+
+
+def representative_nae_instances(
+    variable_count: int, max_clauses: int
+) -> Iterable[NaeInstance]:
+    return _representatives(
+        nae_instances(variable_count, max_clauses), _clause_canonical
     )
-    for count in range(1, max_clauses + 1):
-        for chosen in itertools.combinations(clauses, count):
-            yield NaeInstance(variable_count, chosen)
-
-
-def _nae_canonical(inst: NaeInstance) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(1, inst.variable_count + 1)):
-        relabel = lambda l: (1 if l > 0 else -1) * perm[abs(l) - 1]
-        image = tuple(
-            sorted(tuple(sorted(relabel(l) for l in c)) for c in inst.clauses)
-        )
-        if best is None or image < best:
-            best = image
-    return best
 
 
 def check_nae_reduction(variable_count: int, max_clauses: int) -> list:
     bad = []
-    seen: set[tuple] = set()
-    for inst in nae_instances(variable_count, max_clauses):
-        canon = _nae_canonical(inst)
-        if canon in seen:
-            continue
-        seen.add(canon)
+    for inst in representative_nae_instances(variable_count, max_clauses):
         brute = nae3sat_brute(inst)
         reduced = t_orientation_search(nae3sat_reduce(inst)) is not None
         if brute != reduced:
@@ -221,38 +225,21 @@ def cnf_instances(
     variable_count: int, max_clauses: int, max_clause_size: int = 3
 ) -> Iterable[SatInstance]:
     """All CNFs with distinct-literal clauses, up to clause and literal order."""
-    literals = [l for v in range(1, variable_count + 1) for l in (v, -v)]
-    clauses = []
-    for size in range(1, max_clause_size + 1):
-        for combo in itertools.combinations(literals, size):
-            clauses.append(tuple(sorted(combo)))
-    clauses = sorted(set(clauses))
-    for count in range(1, max_clauses + 1):
-        for chosen in itertools.combinations(clauses, count):
-            yield SatInstance(variable_count, chosen)
-
-
-def _cnf_canonical(inst: SatInstance) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(1, inst.variable_count + 1)):
-        relabel = lambda l: (1 if l > 0 else -1) * perm[abs(l) - 1]
-        image = tuple(
-            sorted(tuple(sorted(relabel(l) for l in c)) for c in inst.clauses)
-        )
-        if best is None or image < best:
-            best = image
-    return best
+    literals = _literals(variable_count)
+    clauses = (
+        combo
+        for size in range(1, max_clause_size + 1)
+        for combo in itertools.combinations(literals, size)
+    )
+    return _clause_sets(variable_count, max_clauses, clauses, SatInstance)
 
 
 def representative_cnf_instances(
     variable_count: int, max_clauses: int, max_clause_size: int = 3
 ) -> Iterable[SatInstance]:
-    seen: set[tuple] = set()
-    for inst in cnf_instances(variable_count, max_clauses, max_clause_size):
-        canon = _cnf_canonical(inst)
-        if canon not in seen:
-            seen.add(canon)
-            yield inst
+    return _representatives(
+        cnf_instances(variable_count, max_clauses, max_clause_size), _clause_canonical
+    )
 
 
 def check_sat_reduction(

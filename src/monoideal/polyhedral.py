@@ -23,11 +23,18 @@ from .core import (
     Ordering,
     divides,
     monomial_set,
+    some_assignment_passes,
 )
 from .preimage import preimage_fg
 from .sorted_ideal import is_fg_sorted
 
 DEFAULT_LATTICE_BUDGET = 10_000_000
+
+
+def _check_integers(values: Iterable, what: str) -> None:
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise MonoidealError(f"{what} {v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -38,11 +45,13 @@ class IneqSystem:
 
     def __post_init__(self):
         for row in self.rows:
+            _check_integers(row, "matrix entry")
             if any(a < 0 for a in row):
                 raise MonoidealError("matrix entries must be nonnegative")
             if len(row) != self.ncols:
                 raise MonoidealError("ragged matrix")
         for w in self.thresholds:
+            _check_integers(w, "threshold entry")
             if len(w) != len(self.rows):
                 raise MonoidealError(
                     "threshold length must equal the number of rows"
@@ -67,12 +76,8 @@ class IneqSystem:
         names: Sequence[str] | None = None,
     ) -> "IneqSystem":
         rs = tuple(tuple(r) for r in rows)
-        seen = []
-        for w in thresholds:
-            tw = tuple(w)
-            if tw not in seen:
-                seen.append(tw)
-        return IneqSystem(rs, tuple(seen), tuple(names) if names else None)
+        ws = tuple(dict.fromkeys(tuple(w) for w in thresholds))
+        return IneqSystem(rs, ws, tuple(names) if names else None)
 
     def to_json_dict(self) -> dict:
         out = {"A": [list(r) for r in self.rows], "W": [list(w) for w in self.thresholds]}
@@ -82,6 +87,8 @@ class IneqSystem:
 
     @staticmethod
     def from_json_dict(data: dict) -> "IneqSystem":
+        if not isinstance(data, dict):
+            raise MonoidealError("an inequality system must be a JSON object")
         return IneqSystem.make(
             data.get("A", []), data.get("W", []), data.get("vars") or None
         )
@@ -130,17 +137,18 @@ def enumerate_minimal_generators(
     """
     if not sys.thresholds:
         return ()
-    n = sys.ncols
     box = max((x for w in sys.thresholds for x in w), default=0)
-    if (box + 1) ** n > budget:
+    points = _box_points(box, sys.ncols, budget)
+    return tuple(sorted(p for p in points if is_minimal_generator(sys, p)))
+
+
+def _box_points(top: int, n: int, budget: int) -> Iterable[tuple[int, ...]]:
+    """The lattice points of [0, top]^n; more than ``budget`` of them is an error."""
+    if (top + 1) ** n > budget:
         raise BudgetExceededError(
-            f"lattice box of {(box + 1) ** n} points exceeds the budget {budget}"
+            f"lattice box of {(top + 1) ** n} points exceeds the budget {budget}"
         )
-    out = []
-    for point in itertools.product(range(box + 1), repeat=n):
-        if is_minimal_generator(sys, point):
-            out.append(point)
-    return tuple(sorted(out))
+    return itertools.product(range(top + 1), repeat=n)
 
 
 def from_generators(M: Sequence[Monomial]) -> IneqSystem:
@@ -243,11 +251,7 @@ def convexity_check(
         return True
     n = ms[0].n
     top = max(m.degree for m in ms) + 1
-    if (top + 1) ** n > budget:
-        raise BudgetExceededError(
-            f"lattice box of {(top + 1) ** n} points exceeds the budget {budget}"
-        )
-    for point in itertools.product(range(top + 1), repeat=n):
+    for point in _box_points(top, n, budget):
         if in_hull_plus_orthant(ms, point):
             if not any(divides(m, Monomial(point)) for m in ms):
                 return False
@@ -272,6 +276,9 @@ class Certificate:
             raise MonoidealError(f"unknown certificate kind {self.kind!r}")
         if self.kind != "support3" and self.letter is None:
             raise MonoidealError(f"certificate kind {self.kind!r} requires a letter")
+        _check_integers(self.generator, "generator entry")
+        if self.letter is not None:
+            _check_integers([self.letter], "letter")
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "generator": list(self.generator)}
@@ -283,8 +290,11 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
+        if not isinstance(data, dict):
+            raise MonoidealError("a certificate must be a JSON object")
         ordering = None
         if data.get("order") is not None:
+            _check_integers(data["order"], "order entry")
             ordering = Ordering.from_sequence(tuple(data["order"]))
         return Certificate(
             data["kind"],
@@ -294,25 +304,17 @@ class Certificate:
         )
 
 
-def _no_pure_power_of(sys: IneqSystem, z: int) -> bool:
-    # no vector supported on {z} alone belongs: every threshold has a row
-    # demanding something z cannot supply
-    for w in sys.thresholds:
-        if not any(
-            wi > 0 and row[z] == 0 for wi, row in zip(w, sys.rows)
-        ):
-            return False
-    return True
-
-
-def _no_z_pair_with(sys: IneqSystem, z: int, t: int) -> bool:
-    # no vector of shape (t once, z arbitrary, rest zero) belongs
-    for w in sys.thresholds:
-        if not any(
-            wi > row[t] and row[z] == 0 for wi, row in zip(w, sys.rows)
-        ):
-            return False
-    return True
+def _no_member_on(sys: IneqSystem, z: int, t: int | None = None) -> bool:
+    # no vector of shape (z arbitrary, t once when given, rest zero) belongs:
+    # every threshold has a row demanding more than t supplies, where z
+    # cannot supply anything
+    return all(
+        any(
+            wi > (0 if t is None else row[t]) and row[z] == 0
+            for wi, row in zip(w, sys.rows)
+        )
+        for w in sys.thresholds
+    )
 
 
 def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
@@ -330,14 +332,9 @@ def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
     if cert.kind == "preimage_not_fg":
         if sum(v for i, v in enumerate(m) if i != z) < 2:
             return False
-        if not _no_pure_power_of(sys, z):
-            return False
-        for t, v in enumerate(m):
-            if t == z or v == 0:
-                continue
-            if not _no_z_pair_with(sys, z, t):
-                return False
-        return True
+        return _no_member_on(sys, z) and all(
+            _no_member_on(sys, z, t) for t, v in enumerate(m) if t != z and v > 0
+        )
 
     # sorted_not_fg
     ordering = cert.ordering or Ordering.identity(sys.ncols)
@@ -394,15 +391,7 @@ class SatInstance:
 
 
 def brute_force_sat(inst: SatInstance) -> bool:
-    if inst.variable_count > 24:
-        raise MonoidealError("brute force limited to 24 variables")
-    for bits in range(1 << inst.variable_count):
-        if all(
-            any(((bits >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0) for l in clause)
-            for clause in inst.clauses
-        ):
-            return True
-    return False
+    return some_assignment_passes(inst.variable_count, inst.clauses, any)
 
 
 def _literal_column(lit: int, offset: int) -> int:
@@ -435,46 +424,32 @@ def sat_reduction(inst: SatInstance, which: str) -> IneqSystem:
     for i in range(1, nv + 1):
         names.extend([f"x{i}", f"nx{i}"])
 
-    def clause_row(clause: tuple[int, ...]) -> list[int]:
+    def clause_row(clause: Iterable[int]) -> list[int]:
         row = [0] * ncols
         for lit in clause:
             row[_literal_column(lit, offset)] += 1
         return row
 
-    def boolean_row(i: int) -> list[int]:
-        row = [0] * ncols
-        row[offset + 2 * (i - 1)] = 1
-        row[offset + 2 * (i - 1) + 1] = 1
-        return row
-
-    def unit_row(col: int) -> list[int]:
-        row = [0] * ncols
-        row[col] = 1
-        return row
-
-    base_rows = [clause_row(c) for c in inst.clauses] + [
-        boolean_row(i) for i in range(1, nv + 1)
-    ]
+    # x_i + nx_i is the clause row of (x_i, -x_i); y is column 0
+    boolean_rows = [clause_row((i, -i)) for i in range(1, nv + 1)]
+    y_row = [1] + [0] * (ncols - 1)
+    base_rows = [clause_row(c) for c in inst.clauses] + boolean_rows
     base_w = [1] * len(base_rows)
 
-    systems: list[IneqSystem] = []
     if which == "mdois":
-        systems.append(IneqSystem.make(base_rows, [base_w], names))
-        for i in range(1, nv + 1):
-            systems.append(IneqSystem.make([boolean_row(i)], [[2]], names))
+        systems = [IneqSystem.make(base_rows, [base_w], names)]
+        systems += [IneqSystem.make([row], [[2]], names) for row in boolean_rows]
     elif which == "imfg":
-        systems.append(
-            IneqSystem.make(base_rows + [unit_row(0)], [base_w + [1]], names)
-        )
-        for i in range(1, nv + 1):
-            systems.append(IneqSystem.make([boolean_row(i)], [[2]], names))
+        systems = [IneqSystem.make(base_rows + [y_row], [base_w + [1]], names)]
+        systems += [IneqSystem.make([row], [[2]], names) for row in boolean_rows]
     else:  # pinfg
-        systems.append(IneqSystem.make(base_rows, [base_w], names))
-        systems.append(IneqSystem.make([unit_row(0)], [[2]], names))
-        for i in range(1, nv + 1):
-            systems.append(
-                IneqSystem.make([boolean_row(i), unit_row(0)], [[2, 1]], names)
-            )
+        systems = [
+            IneqSystem.make(base_rows, [base_w], names),
+            IneqSystem.make([y_row], [[2]], names),
+        ]
+        systems += [
+            IneqSystem.make([row, y_row], [[2, 1]], names) for row in boolean_rows
+        ]
     return union(systems)
 
 

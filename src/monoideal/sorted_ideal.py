@@ -11,6 +11,7 @@ leading-word data of a finite noncommutative Groebner basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,21 +89,12 @@ def fg_generating_set(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
     for w in ms:
         internals = sorted(internal_letters(w, ord))
         ranges = [range(extremal_degree_max(ms, x, ord) - w.exponents[x]) for x in internals]
-        for extras in _product(ranges):
+        for extras in itertools.product(*ranges):
             e = list(w.exponents)
             for x, extra in zip(internals, extras):
                 e[x] += extra
             words.append(sigma(Monomial(tuple(e)), ord))
     return sorted_words(words)
-
-
-def _product(ranges: list[range]):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _product(ranges[1:]):
-            yield (head,) + tail
 
 
 def minimal_word_generators(S: Iterable[Word]) -> tuple[Word, ...]:

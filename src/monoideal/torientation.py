@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import MonoidealError, Ordering, ParseError
+from .core import MonoidealError, Ordering, ParseError, some_assignment_passes
 
 
 @dataclass(frozen=True)
@@ -399,18 +399,9 @@ class NaeInstance:
 
 def nae3sat_brute(inst: NaeInstance) -> bool:
     """Some assignment gives every clause a true and a false literal."""
-    if inst.variable_count > 24:
-        raise MonoidealError("brute force limited to 24 variables")
-    for bits in range(1 << inst.variable_count):
-        ok = True
-        for clause in inst.clauses:
-            values = [((bits >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0) for l in clause]
-            if all(values) or not any(values):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return some_assignment_passes(
+        inst.variable_count, inst.clauses, lambda values: any(values) and not all(values)
+    )
 
 
 _GADGET_A_SLOTS = (1, 7, 12)

@@ -239,11 +239,15 @@ def test_criterion_8_sat_reduction_pinfg():
 
 def test_criterion_9_quadratic_bridge():
     for n in range(2, 6):
+        count = 0
         for members in representative_quadratic_sets(n):
+            count += 1
             found = find_cool_ordering(members, n).found
             exhaustive = any(is_cool(members, o) for o in all_orderings(n))
             graph = t_orientation_search(quadratic_graph(members, n)) is not None
             assert found == exhaustive == graph, members
+        if n == 5:
+            assert count == 543
 
     c5 = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
     members = []

@@ -71,8 +71,17 @@ def test_parse_nae_and_cnf():
     assert inst.variable_count == 3 and len(inst.clauses) == 2
     cnf = parse_cnf_file("c comment\np cnf 3 2\n1 -2 0\n3 0\n")
     assert cnf.variable_count == 3 and cnf.clauses == ((1, -2), (3,))
+    cnf = parse_cnf_file("# comment\np cnf 3 2 # header\n1 -2 0 # first\n3 0\n")
+    assert cnf.variable_count == 3 and cnf.clauses == ((1, -2), (3,))
     with pytest.raises(ParseError):
         parse_nae_file("1 2\n")
+    for parse, text in (
+        (parse_cnf_file, "c comment\np cnf x 1\n1 0\n"),
+        (parse_nae_file, "c comment\np nae x 2\n1 2 3\n"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == 2 and "non-integer header fields" in str(info.value)
 
 
 def test_cli_check_fg(tmp_path, capsys):
@@ -198,6 +207,42 @@ def test_cli_poly_commands(tmp_path, capsys):
     sys3.write_text(json.dumps({"A": [[1, 1, 1]], "W": [[3]]}))
     code, payload = run(capsys, "verify-cert", str(sys3), str(cert))
     assert code == 0 and payload == {"valid": True}
+
+
+SYSTEM = {"A": [[1, 1, 1]], "W": [[3]]}
+
+
+@pytest.mark.parametrize(
+    "command, system, certificate, message",
+    [
+        ("poly-mingens", [], None, "JSON object"),
+        ("poly-member", [], None, "JSON object"),
+        ("poly-union", [], None, "JSON object"),
+        ("verify-cert", [], {"kind": "support3", "generator": [1, 1, 1]}, "JSON object"),
+        ("verify-cert", SYSTEM, [], "JSON object"),
+        ("verify-cert", SYSTEM,
+         {"kind": "preimage_not_fg", "generator": [1, 1, 1], "letter": "x"}, "not an integer"),
+        ("verify-cert", SYSTEM, {"kind": "support3", "generator": ["a", 1, 1]}, "not an integer"),
+        ("verify-cert", SYSTEM, {"kind": "support3", "generator": [1.5, 0.5, 1]}, "not an integer"),
+        ("verify-cert", SYSTEM, {"kind": "support3", "generator": [True, 1, 1]}, "not an integer"),
+        ("poly-mingens", {"A": [[1.5, 1]], "W": [[2]]}, None, "not an integer"),
+        ("poly-mingens", {"A": [[1, 1]], "W": [[2.0]]}, None, "not an integer"),
+        ("poly-mingens", {"A": [[True, 1]], "W": [[2]]}, None, "not an integer"),
+    ],
+)
+def test_cli_malformed_json(tmp_path, capsys, command, system, certificate, message):
+    sys_file = tmp_path / "s.json"
+    sys_file.write_text(json.dumps(system))
+    argv = [command, str(sys_file)]
+    if command == "poly-member":
+        argv += ["--vector", "[1,1,1]"]
+    if certificate is not None:
+        cert_file = tmp_path / "c.json"
+        cert_file.write_text(json.dumps(certificate))
+        argv.append(str(cert_file))
+    code, payload = run(capsys, *argv)
+    assert code == 2 and list(payload) == ["error"]
+    assert message in payload["error"]
 
 
 def test_cli_reduce_sat_and_convexity(tmp_path, capsys):

@@ -1,0 +1,74 @@
+import itertools
+
+import pytest
+
+from monoideal.core import Monomial
+from monoideal.crosscheck import (
+    _clause_canonical,
+    antichains,
+    permutation_canonical,
+    representative_antichains,
+    representative_cnf_instances,
+    representative_nae_instances,
+    representative_quadratic_sets,
+)
+from monoideal.polyhedral import SatInstance
+from monoideal.torientation import NaeInstance
+
+from conftest import M
+
+
+@pytest.mark.parametrize(
+    "n, degree, count", [(2, 3, 24), (3, 2, 28), (3, 3, 498), (4, 2, 118)]
+)
+def test_representative_antichain_counts(n, degree, count):
+    assert sum(1 for _ in representative_antichains(n, degree)) == count
+
+
+@pytest.mark.parametrize("n, count", [(2, 5), (3, 19), (4, 89)])
+def test_representative_quadratic_set_counts(n, count):
+    assert sum(1 for _ in representative_quadratic_sets(n)) == count
+
+
+def test_representative_clause_instance_counts():
+    assert sum(1 for _ in representative_cnf_instances(3, 2)) == 175
+    assert sum(1 for _ in representative_nae_instances(3, 2)) == 297
+
+
+def _permuted(members, perm):
+    return tuple(Monomial(tuple(m.exponents[i] for i in perm)) for m in members)
+
+
+def test_permutation_canonical_worked_example():
+    # x^2 y and z: the least image puts z's column last, then 1 before 2
+    assert permutation_canonical(M((2, 1, 0), (0, 0, 1)), 3) == (
+        (0, 0, 1),
+        (1, 2, 0),
+    )
+
+
+@pytest.mark.parametrize("members", list(itertools.islice(antichains(3, 3), 0, 2000, 97)))
+def test_permutation_canonical_ignores_letter_names(members):
+    canon = permutation_canonical(members, 3)
+    for perm in itertools.permutations(range(3)):
+        assert permutation_canonical(_permuted(members, perm), 3) == canon
+    # the canonical form is a relabeling: each member keeps its exponents
+    assert sorted(sorted(m.exponents) for m in members) == sorted(
+        sorted(row) for row in canon
+    )
+
+
+def test_clause_canonical_renaming_and_signs():
+    cnf = SatInstance(3, ((1, -2), (3,)))
+    renamed = SatInstance(3, ((-3, 2), (1,)))  # 1 -> 2, 2 -> 3, 3 -> 1
+    reordered = SatInstance(3, ((3,), (-2, 1)))
+    flipped = SatInstance(3, ((-1, -2), (3,)))
+    assert _clause_canonical(cnf) == _clause_canonical(renamed)
+    assert _clause_canonical(cnf) == _clause_canonical(reordered)
+    assert _clause_canonical(cnf) != _clause_canonical(flipped)
+
+    nae = NaeInstance(3, ((1, -2, 3), (2, 2, -3)))
+    nae_renamed = NaeInstance(3, ((-1, 2, 3), (1, 1, -3)))  # swap 1 and 2
+    nae_flipped = NaeInstance(3, ((1, -2, 3), (-2, -2, -3)))
+    assert _clause_canonical(nae) == _clause_canonical(nae_renamed)
+    assert _clause_canonical(nae) != _clause_canonical(nae_flipped)

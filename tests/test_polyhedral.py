@@ -207,6 +207,9 @@ def test_reduction_decisions_match_sat_spot():
     sat = SatInstance(3, ((1, 2, 3),))
     unsat = SatInstance(3, ((1,), (-1,)))
     assert brute_force_sat(sat) and not brute_force_sat(unsat)
+    assert brute_force_sat(SatInstance(24, ((-24,),)))
+    with pytest.raises(MonoidealError):
+        brute_force_sat(SatInstance(25, ((1,),)))
     for target in ("mdois", "imfg"):
         assert reduction_is_negative(sat_reduction(sat, target), target)
         assert not reduction_is_negative(sat_reduction(unsat, target), target)

@@ -163,6 +163,11 @@ def test_nae_brute():
     assert nae3sat_brute(NaeInstance(3, ((1, 2, 3),)))
     assert not nae3sat_brute(NaeInstance(1, ((1, 1, 1),)))
     assert nae3sat_brute(NaeInstance(0, ()))
+    # a clause holding a literal and its complement always has both values
+    assert nae3sat_brute(NaeInstance(1, ((1, -1, 1),)))
+    assert nae3sat_brute(NaeInstance(24, ((1, 2, 24),)))
+    with pytest.raises(MonoidealError):
+        nae3sat_brute(NaeInstance(25, ((1, 2, 3),)))
 
 
 def test_nae_instance_validation():
