@@ -23,6 +23,7 @@ from .core import (
     Ordering,
     ParseError,
     antichain_reduce,
+    data_lines,
     format_monomial,
     format_ordering,
     format_word,
@@ -44,7 +45,9 @@ from .polyhedral import (
 )
 from .preimage import preimage_degree_bounds, preimage_fg
 from .sorted_ideal import (
+    complete_enumeration_bound,
     fg_generating_set,
+    generator_count_bound,
     groebner_lift,
     is_fg_sorted,
     minimal_word_generators,
@@ -182,10 +185,7 @@ def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str)
     """
     variable_count = None
     clauses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != kind:
@@ -293,12 +293,26 @@ def _cmd_check_fg(args):
     return (0 if witness.verdict else 1), _witness_payload(witness, alphabet)
 
 
+def _check_generating_set_budget(monomials, ordering: Ordering) -> None:
+    # the count bound times the length bound caps the letters the raw
+    # generating set holds; refuse before enumerating it
+    letters = generator_count_bound(monomials, ordering) * complete_enumeration_bound(
+        monomials, ordering
+    )
+    budget = _budget(10_000_000)
+    if letters > budget:
+        raise BudgetExceededError(
+            f"the generating set may hold up to {letters} letters, past the budget of {budget}"
+        )
+
+
 def _cmd_generators(args):
     alphabet, monomials, ordering = _load_monomials(args)
     ordering = _require_order(ordering)
     witness = is_fg_sorted(monomials, ordering)
     if not witness.verdict:
         return 1, _witness_payload(witness, alphabet)
+    _check_generating_set_budget(monomials, ordering)
     gens = fg_generating_set(monomials, ordering)
     if not args.raw:
         gens = minimal_word_generators(gens)
@@ -314,6 +328,7 @@ def _cmd_gb_lift(args):
     witness = is_fg_sorted(monomials, ordering)
     if not witness.verdict:
         return 1, _witness_payload(witness, alphabet)
+    _check_generating_set_budget(monomials, ordering)
     words = groebner_lift(monomials, ordering)
     return 0, {
         "verdict": True,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Exponent arithmetic is checked against a 64-bit budget: exponents may be
 # given in binary, so silent wraparound would corrupt verdicts.
@@ -56,6 +56,18 @@ class ParseError(MonoidealError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered nonblank lines of a clause or graph file, comments removed.
+
+    `#` starts a comment that runs to the end of the line, and a line
+    starting with `c` is a comment.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line and not line.startswith("c"):
+            yield lineno, line
 
 
 @dataclass(frozen=True)

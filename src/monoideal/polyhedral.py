@@ -89,9 +89,12 @@ class IneqSystem:
     def from_json_dict(data: dict) -> "IneqSystem":
         if not isinstance(data, dict):
             raise MonoidealError("an inequality system must be a JSON object")
-        return IneqSystem.make(
-            data.get("A", []), data.get("W", []), data.get("vars") or None
-        )
+        names = data.get("vars")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(x, str) for x in names)
+        ):
+            raise MonoidealError(f'"vars" must be a list of strings, got {names!r}')
+        return IneqSystem.make(data.get("A", []), data.get("W", []), names or None)
 
 
 def _check_vector(sys: IneqSystem, x: Sequence[int]) -> tuple[int, ...]:

@@ -46,7 +46,14 @@ class FgWitness:
 def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
     # Members are scanned by their sorted word, lexicographically in rank;
     # this reproduces the reference violators independently of input order.
-    return sorted(M, key=lambda m: tuple(ord.rank[x] for x in sigma(m, ord).letters))
+    # The words are compared run by run without being built: a shorter run
+    # of a letter comes first when the word ends there, and last when a
+    # later letter follows it, so exponents may be arbitrarily large.
+    def key(m: Monomial) -> tuple[tuple[int, int], ...]:
+        runs = [m.exponents[x] for x in ord.sequence()]
+        return tuple((1, -e) if any(runs[i + 1 :]) else (0, e) for i, e in enumerate(runs))
+
+    return sorted(M, key=key)
 
 
 def _covered(M: Sequence[Monomial], w: Monomial, x: int, ord: Ordering) -> bool:

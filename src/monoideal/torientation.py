@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import MonoidealError, Ordering, ParseError, some_assignment_passes
+from .core import MonoidealError, Ordering, ParseError, data_lines, some_assignment_passes
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,24 @@ def _canonical_arcs(arcs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
     return tuple(sorted(arcs, key=lambda a: (min(a), max(a), a)))
 
 
-def _is_acyclic(n: int, arcs: Iterable[tuple[int, int]]) -> bool:
+def _topological_order(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    """Kahn's algorithm, smallest available vertex first; short when cyclic."""
     out: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for u, v in arcs:
         out[u].append(v)
         indeg[v] += 1
-    stack = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
+    heap = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(heap)
+    seq: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)
+        seq.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                stack.append(w)
-    return seen == n
+                heapq.heappush(heap, w)
+    return seq
 
 
 def is_valid_t_orientation(g: TGraph, o: Orientation) -> bool:
@@ -92,7 +94,7 @@ def is_valid_t_orientation(g: TGraph, o: Orientation) -> bool:
         raise MonoidealError("orientation does not match the graph's edge set")
     if len(o.arcs) != len(g.edges):
         raise MonoidealError("orientation directs some edge more than once")
-    if not _is_acyclic(g.vertex_count, o.arcs):
+    if len(_topological_order(g.vertex_count, o.arcs)) < g.vertex_count:
         return False
     arcset = o.arc_set()
     ins: dict[int, list[int]] = {y: [] for y in g.tset}
@@ -113,128 +115,109 @@ def is_valid_t_orientation(g: TGraph, o: Orientation) -> bool:
 class _Solver:
     """Backtracking search for T-orientations with unit propagation.
 
+    The state of edge ``i`` is its arc ``arcs[i]``, or None while free.
     Propagation closes directed two-paths through T-vertices: an oriented
     pair forces the chord, and a missing chord forces the still-free half
-    of the pair away from the violating direction.  Acyclicity is checked
-    after every propagation round.  Branching picks the free edge with the
-    most endpoints in T (ties by edge index), trying the stored direction
-    first, so the first solution found is deterministic.
+    of the pair to point the same way at the T-vertex.  An arc is refused
+    when its head already reaches its tail; arcs are only ever added, so
+    this fails a branch exactly when the orientation it reaches is cyclic.
+    Branching picks the free edge with the most endpoints in T (ties by
+    edge index, as the sort is stable), trying the stored direction first,
+    so the first solution found is deterministic.
     """
 
     def __init__(self, g: TGraph, forced: Iterable[tuple[int, int]] = ()):
         self.g = g
-        self.edges = g.edges
-        self.m = len(g.edges)
-        self.index = {e: i for i, e in enumerate(g.edges)}
+        self.index: dict[tuple[int, int], int] = {}
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
         for i, (u, v) in enumerate(g.edges):
+            self.index[u, v] = self.index[v, u] = i
             self.adj[u].append((i, v))
             self.adj[v].append((i, u))
-        self.state = [0] * self.m
+        self.arcs: list[tuple[int, int] | None] = [None] * len(g.edges)
         self.trail: list[int] = []
         self.nodes = 0
-        score = lambda e: -len({e[0], e[1]} & g.tset)
-        self.branch_order = sorted(range(self.m), key=lambda i: (score(self.edges[i]), i))
+        self.branch_order = sorted(
+            range(len(g.edges)), key=lambda i: -len(g.tset.intersection(g.edges[i]))
+        )
         self.initial_forced = list(forced)
+        for tail, head in self.initial_forced:
+            if (tail, head) not in self.index:
+                raise MonoidealError(f"forced arc {tail}->{head} is not a graph edge")
 
-    def _arc(self, i: int) -> tuple[int, int] | None:
-        u, v = self.edges[i]
-        if self.state[i] == 1:
-            return (u, v)
-        if self.state[i] == -1:
-            return (v, u)
-        return None
+    def _reaches(self, src: int, dst: int) -> bool:
+        seen = {src}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            if v == dst:
+                return True
+            for j, w in self.adj[v]:
+                if w not in seen and self.arcs[j] == (v, w):
+                    seen.add(w)
+                    stack.append(w)
+        return False
 
-    def _sign(self, i: int, tail: int, head: int) -> int:
-        return 1 if self.edges[i] == (tail, head) else -1
-
-    def _assign(self, i: int, sgn: int, queue: list[int]) -> bool:
-        if self.state[i] == sgn:
-            return True
-        if self.state[i] != 0:
+    def _assign(self, tail: int, head: int, queue: list[int]) -> bool:
+        i = self.index.get((tail, head))
+        if i is None:
             return False
-        self.state[i] = sgn
+        if self.arcs[i] is not None:
+            return self.arcs[i] == (tail, head)
+        if self._reaches(head, tail):
+            return False
+        self.arcs[i] = (tail, head)
         self.trail.append(i)
         queue.append(i)
         return True
 
     def _propagate(self, queue: list[int]) -> bool:
-        index, tset = self.index, self.g.tset
+        # y is the T-endpoint of the popped arc and x its other endpoint;
+        # only the popped edge joins y to x in a simple graph
         while queue:
             i = queue.pop()
-            tail, head = self._arc(i)
-            if head in tset:
-                for j, z in self.adj[head]:
-                    if j == i:
+            tail, head = self.arcs[i]
+            for y, x, inward in ((head, tail, True), (tail, head, False)):
+                if y not in self.g.tset:
+                    continue
+                for j, z in self.adj[y]:
+                    a = self.arcs[j]
+                    if a is None and (x, z) not in self.index:
+                        # no chord x-z: j must point the same way at y
+                        arc = (z, y) if inward else (y, z)
+                    elif a is not None and j != i and (a[1] == y) != inward:
+                        # a directed two-path through y: force its chord
+                        arc = (x, z) if inward else (z, x)
+                    else:
                         continue
-                    a = self._arc(j)
-                    if a is None:
-                        if (min(tail, z), max(tail, z)) not in index and z != tail:
-                            if not self._assign(j, self._sign(j, z, head), queue):
-                                return False
-                    elif a[0] == head:
-                        z = a[1]
-                        if z == tail:
-                            continue
-                        k = index.get((min(tail, z), max(tail, z)))
-                        if k is None:
-                            return False
-                        if not self._assign(k, self._sign(k, tail, z), queue):
-                            return False
-            if tail in tset:
-                for j, w in self.adj[tail]:
-                    if j == i:
-                        continue
-                    a = self._arc(j)
-                    if a is None:
-                        if (min(w, head), max(w, head)) not in index and w != head:
-                            if not self._assign(j, self._sign(j, tail, w), queue):
-                                return False
-                    elif a[1] == tail:
-                        w = a[0]
-                        if w == head:
-                            continue
-                        k = index.get((min(w, head), max(w, head)))
-                        if k is None:
-                            return False
-                        if not self._assign(k, self._sign(k, w, head), queue):
-                            return False
-        arcs = [self._arc(i) for i in range(self.m) if self.state[i] != 0]
-        return _is_acyclic(self.g.vertex_count, arcs)
+                    if not self._assign(*arc, queue):
+                        return False
+        return True
 
     def solve(self, limit: int | None) -> list[Orientation]:
         solutions: list[Orientation] = []
         queue: list[int] = []
         for tail, head in self.initial_forced:
-            key = (min(tail, head), max(tail, head))
-            if key not in self.index:
-                raise MonoidealError(f"forced arc {tail}->{head} is not a graph edge")
-            if not self._assign(self.index[key], self._sign(self.index[key], tail, head), queue):
+            if not self._assign(tail, head, queue):
                 return solutions
         if not self._propagate(queue):
             return solutions
 
-        def free_edge() -> int | None:
-            for i in self.branch_order:
-                if self.state[i] == 0:
-                    return i
-            return None
-
         def descend() -> bool:
-            i = free_edge()
+            i = next((i for i in self.branch_order if self.arcs[i] is None), None)
             if i is None:
-                arcs = _canonical_arcs(self._arc(j) for j in range(self.m))
-                solutions.append(Orientation(arcs))
+                solutions.append(Orientation(_canonical_arcs(self.arcs)))
                 return limit is not None and len(solutions) >= limit
-            for sgn in (1, -1):
+            u, v = self.g.edges[i]
+            for arc in ((u, v), (v, u)):
                 mark = len(self.trail)
                 self.nodes += 1
                 q: list[int] = []
-                if self._assign(i, sgn, q) and self._propagate(q):
+                if self._assign(*arc, q) and self._propagate(q):
                     if descend():
                         return True
                 while len(self.trail) > mark:
-                    self.state[self.trail.pop()] = 0
+                    self.arcs[self.trail.pop()] = None
             return False
 
         descend()
@@ -292,23 +275,8 @@ def orientation_to_ordering(g: TGraph, o: Orientation) -> Ordering:
     """A topological order of the arcs, smallest available vertex first."""
     if o.edge_keys() != frozenset(g.edges):
         raise MonoidealError("orientation does not match the graph's edge set")
-    n = g.vertex_count
-    out: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in o.arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    heap = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    seq: list[int] = []
-    while heap:
-        v = heapq.heappop(heap)
-        seq.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(seq) != n:
+    seq = _topological_order(g.vertex_count, o.arcs)
+    if len(seq) != g.vertex_count:
         raise MonoidealError("orientation is cyclic; no topological order exists")
     return Ordering.from_sequence(seq)
 
@@ -439,14 +407,15 @@ def nae3sat_reduce(inst: NaeInstance) -> TGraph:
 # file format
 
 def parse_tgraph(text: str) -> TGraph:
-    """Read the `p tgraph` format: `e u v` edges and a `t ...` line, 1-based."""
+    """Read the `p tgraph` format: `e u v` edges and a `t ...` line, 1-based.
+
+    Comments follow the clause-file rule (`#` to the end of the line, a
+    line starting with `c`), and an edge line holds exactly two vertices.
+    """
     n = m = None
     edges: list[tuple[int, int]] = []
     tset: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "tgraph":
@@ -459,8 +428,8 @@ def parse_tgraph(text: str) -> TGraph:
             if n is None:
                 raise ParseError("edge before header", lineno)
             try:
-                u, v = int(parts[1]), int(parts[2])
-            except (IndexError, ValueError):
+                u, v = (int(p) for p in parts[1:])
+            except ValueError:
                 raise ParseError("expected `e u v`", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"edge endpoint out of range 1..{n}", lineno)

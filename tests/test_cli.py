@@ -228,6 +228,8 @@ SYSTEM = {"A": [[1, 1, 1]], "W": [[3]]}
         ("poly-mingens", {"A": [[1.5, 1]], "W": [[2]]}, None, "not an integer"),
         ("poly-mingens", {"A": [[1, 1]], "W": [[2.0]]}, None, "not an integer"),
         ("poly-mingens", {"A": [[True, 1]], "W": [[2]]}, None, "not an integer"),
+        ("poly-mingens", {"A": [[1, 1]], "W": [[2]], "vars": "ab"}, None, "list of strings"),
+        ("poly-mingens", {"A": [[1, 1]], "W": [[2]], "vars": [1, None]}, None, "list of strings"),
     ],
 )
 def test_cli_malformed_json(tmp_path, capsys, command, system, certificate, message):
@@ -277,6 +279,23 @@ def test_cli_budget_exceeded(tmp_path, capsys, monkeypatch):
     f.write_text("letters: x y\nx^2\n")
     code, payload = run(capsys, "oracle", str(f), "--target", "preimage", "--cap", "9")
     assert code == 3 and "error" in payload
+
+
+def test_cli_huge_exponents(tmp_path, capsys):
+    f = tmp_path / "huge.mon"
+    f.write_text("letters: a b c\norder: a b c\na c\nb^1000000000\n")
+    code, payload = run(capsys, "check-fg", str(f))
+    assert code == 0 and payload == {"verdict": True}
+    g = tmp_path / "neg.mon"
+    g.write_text("letters: a b c\norder: a b c\na^4611686018427387904 c\n")
+    code, payload = run(capsys, "check-fg", str(g))
+    assert code == 1
+    assert payload["witness"] == {"monomial": "a^4611686018427387904 c", "letter": "b"}
+    # the generating set of the positive instance would hold about 10^18
+    # letters: refused before it is enumerated
+    for command in ("generators", "gb-lift"):
+        code, payload = run(capsys, command, str(f))
+        assert code == 3 and "past the budget of 10000000" in payload["error"]
 
 
 def test_cli_crosscheck_small(capsys):

@@ -228,3 +228,24 @@ def test_generating_set_spans_ideal_up_to_cap():
         for u in all_words_up_to(3, cap):
             spanned = any(word_is_factor(g, u) for g in gens)
             assert spanned == word_in_sorted_ideal(u, members, ord), u
+
+
+def test_huge_exponents_scale_the_witness():
+    # the criterion reads supports and divisibility only, so scaling every
+    # exponent scales the witness; the scan order must not build the words
+    import time
+
+    from monoideal.crosscheck import antichains
+
+    k = 2**61  # total degrees up to 2 * 2^61, near the 2^63 limit
+    start = time.process_time()
+    for members in antichains(3, 2):
+        huge = tuple(Monomial(tuple(k * e for e in m.exponents)) for m in members)
+        for ord in all_orderings(3):
+            small = is_fg_sorted(members, ord)
+            scaled = is_fg_sorted(huge, ord)
+            assert scaled.verdict == small.verdict
+            if small.violator is not None:
+                m, x = small.violator
+                assert scaled.violator == (Monomial(tuple(k * e for e in m.exponents)), x)
+    assert time.process_time() - start < 5.0

@@ -21,6 +21,7 @@ from monoideal.torientation import (
     orientation_to_ordering,
     parse_tgraph,
     t_orientation_search,
+    t_orientation_search_stats,
     top_hat,
 )
 
@@ -97,6 +98,41 @@ def test_every_found_orientation_is_valid():
     for g in (top_hat(), gadget3()):
         o = t_orientation_search(g)
         assert o is not None and is_valid_t_orientation(g, o)
+
+
+@pytest.mark.parametrize(
+    "g, nodes, sequence",
+    [
+        (top_hat(), 1, (1, 0, 3, 5, 6, 2, 4)),
+        (gadget3(), 4, (1, 7, 3, 9, 10, 11, 5, 6, 2, 8, 13, 0, 14, 4, 12)),
+        (
+            nae3sat_reduce(NaeInstance(3, ((1, 2, 3), (-1, 2, -3)))),
+            4,
+            (1, 7, 3, 9, 10, 11, 5, 6, 2, 8, 13, 0, 14, 4, 15, 17, 19, 21, 16, 22,
+             18, 27, 24, 29, 25, 26, 20, 23, 30, 31, 32, 12, 28),
+        ),
+        (nae3sat_reduce(NaeInstance(2, ((1, 2, 2), (1, -2, -2), (-1, 2, 2)))), 6, None),
+    ],
+    ids=["top_hat", "gadget3", "nae_sat", "nae_unsat"],
+)
+def test_search_stats_pinned(g, nodes, sequence):
+    # the first orientation is pinned through the topological order it
+    # induces, which determines every arc
+    found, explored = t_orientation_search_stats(g)
+    assert explored == nodes
+    if sequence is None:
+        assert found is None
+    else:
+        assert found == ordering_to_orientation(g, Ordering.from_sequence(sequence))
+        assert orientation_to_ordering(g, found).sequence() == sequence
+
+
+def test_forced_directed_triangle_has_no_extension():
+    g = TGraph.make(4, [(0, 1), (1, 2), (0, 2), (2, 3)], ())
+    assert enumerate_t_orientations(g, forced=[(0, 1), (1, 2), (2, 0)]) == []
+    assert len(enumerate_t_orientations(g, forced=[(0, 1), (1, 2), (0, 2)])) == 2
+    with pytest.raises(MonoidealError):
+        enumerate_t_orientations(g, forced=[(0, 1), (1, 0), (1, 3)])
 
 
 def test_gadget3_shape():
@@ -218,3 +254,10 @@ def test_file_format_round_trip():
         parse_tgraph("p tgraph 2 1\ne 1 3\n")
     with pytest.raises(ParseError):
         parse_tgraph("p tgraph 2 2\ne 1 2\n")
+    # `#` runs to the end of the line and a line starting with `c` is a comment
+    commented = "c hub graph\np tgraph 3 2 # header\ne 1 2 # spoke\ne 1 3\nt 1 # hub\n"
+    assert parse_tgraph(commented) == TGraph.make(3, [(0, 1), (0, 2)], (0,))
+    # an edge line is exactly `e u v`
+    for bad in ("e 1 2 3", "e 1", "e 1 x"):
+        with pytest.raises(ParseError, match="line 2: expected `e u v`"):
+            parse_tgraph(f"p tgraph 3 1\n{bad}\n")
