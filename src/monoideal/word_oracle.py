@@ -3,8 +3,11 @@
 Membership tests for the two word ideals attached to a monomial set, a
 bounded enumeration of minimal word generators driven by any factor-closed
 membership predicate, and a finiteness probe that cross-checks the fast
-finite-generation criterion.  Everything here is deliberately independent
-of the fast decision procedures so it can referee them.
+finite-generation criterion.  The enumerations of the two word ideals
+carry letter counts with each stem instead of calling the membership
+tests, which stay their referee in the tests.  Everything here is
+deliberately independent of the fast decision procedures so it can
+referee them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
+    AlphabetMismatchError,
     BudgetExceededError,
     Monomial,
     Ordering,
@@ -87,6 +91,65 @@ def word_in_preimage(u: Word, M: Sequence[Monomial]) -> bool:
     return any(divides(m, counts) for m in ms)
 
 
+def _check_walk(cap: int, alphabet_size: int) -> None:
+    if cap < 0 or alphabet_size < 1:
+        raise ValueError("cap must be nonnegative and the alphabet nonempty")
+
+
+def _walk(
+    root: Callable[[], object],
+    successors: Callable[[tuple[int, ...], object], Sequence[object]],
+    alphabet_size: int,
+    cap: int,
+    budget: int,
+) -> EnumerationReport:
+    """Breadth-first walk over the non-members of a factor-closed word ideal.
+
+    Non-members are closed under factors, so every non-member extends a
+    shorter one and only non-members are extended.  Each stored stem
+    carries a state: ``root()`` gives the state of the empty word, and
+    ``successors(stem, state)`` the state of ``stem + z`` for each letter
+    ``z``; None marks a member.  A member is a minimal generator when
+    dropping its first letter leaves a non-member (dropping its last
+    letter gives its stem).  Each word examined counts as one membership
+    test against ``budget``; a level that would pass the budget raises
+    before it is examined.
+    """
+    _check_walk(cap, alphabet_size)
+    tests = 1
+    if tests > budget:
+        raise BudgetExceededError(
+            f"membership budget of {budget} tests exceeded at length 0"
+        )
+    state = root()
+    if state is None:
+        return EnumerationReport(cap, (Word(()),), True)
+
+    letters = [(z,) for z in range(alphabet_size)]
+    found: list[Word] = []
+    level: dict[tuple[int, ...], object] = {(): state}
+    for length in range(1, cap + 1):
+        tests += len(level) * alphabet_size
+        if tests > budget:
+            raise BudgetExceededError(
+                f"membership budget of {budget} tests exceeded at length {length}"
+            )
+        following: dict[tuple[int, ...], object] = {}
+        for stem, state in level.items():
+            for z, after in zip(letters, successors(stem, state)):
+                w = stem + z
+                if after is not None:
+                    following[w] = after
+                elif w[1:] in level:
+                    found.append(Word(w))
+        level = following
+        if not level:
+            break
+    threshold = cap // 2 + 1
+    saturated = all(len(w) <= threshold for w in found)
+    return EnumerationReport(cap, sorted_words(found), saturated)
+
+
 def enumerate_minimal_generators(
     membership: Callable[[Word], bool],
     alphabet_size: int,
@@ -98,45 +161,73 @@ def enumerate_minimal_generators(
     ``membership`` must be factor-monotone: a word is in the ideal whenever
     one of its factors is.  A word is a minimal generator when it is in the
     ideal but dropping its first or its last letter leaves the ideal.  The
-    enumeration walks the tree of non-members breadth-first by length
-    (non-members are closed under factors, so every non-member extends a
-    shorter one) and tests each one-letter extension once.
+    enumeration walks the tree of non-members breadth-first by length and
+    asks ``membership`` about each one-letter extension once.
     """
-    if cap < 0 or alphabet_size < 1:
-        raise ValueError("cap must be nonnegative and the alphabet nonempty")
-    calls = 0
 
-    def member(w: Word) -> bool:
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise BudgetExceededError(
-                f"membership budget of {budget} tests exceeded at length {len(w)}"
-            )
-        return membership(w)
+    # the stem is all the state a predicate needs
+    def successors(stem, state):
+        return [
+            None if membership(Word(stem + (z,))) else True
+            for z in range(alphabet_size)
+        ]
 
-    empty = Word(())
-    if member(empty):
-        return EnumerationReport(cap, (empty,), True)
+    return _walk(
+        lambda: None if membership(Word(())) else True,
+        successors,
+        alphabet_size,
+        cap,
+        budget,
+    )
 
-    found: list[Word] = []
-    nonmembers: set[tuple[int, ...]] = {()}
-    for length in range(1, cap + 1):
-        next_nonmembers: set[tuple[int, ...]] = set()
-        for stem in nonmembers:
-            for z in range(alphabet_size):
-                w = stem + (z,)
-                if member(Word(w)):
-                    if w[1:] in nonmembers:
-                        found.append(Word(w))
-                else:
-                    next_nonmembers.add(w)
-        nonmembers = next_nonmembers
-        if not nonmembers:
-            break
-    threshold = cap // 2 + 1
-    saturated = all(len(w) <= threshold for w in found)
-    return EnumerationReport(cap, sorted_words(found), saturated)
+
+def _exponent_rows(M: Sequence[Monomial], n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct exponent vectors of M, checked once for the walks."""
+    ms = monomial_set(M)
+    ensure_nonunit(ms, "M")
+    if any(m.n != n for m in ms):
+        raise AlphabetMismatchError("monomial set and alphabet sizes differ")
+    return tuple(m.exponents for m in ms)
+
+
+def _count_walk(
+    rows: tuple[tuple[int, ...], ...],
+    rank: Sequence[int],
+    cap: int,
+    budget: int,
+) -> EnumerationReport:
+    """Walk whose states carry the letter counts of each stem's trailing
+    maximal sorted segment under ``rank``.
+
+    A stem is a non-member, so every segment before its last one already
+    fails: ``stem + z`` is a member exactly when the trailing segment,
+    extended by ``z``, dominates a row.  A state is the stem's last letter
+    with the counts of that segment; the counts restart when ``z`` ranks
+    below the last letter.  Counts are capped at the largest exponent of
+    their letter in the rows, which decides the same dominance and keeps
+    the states few.  Each state's successors are computed once per call,
+    so stems with equal states share one row of successor states.
+    """
+    n = len(rank)
+    top = tuple(map(max, zip(*rows)))
+    zero = (0,) * n
+    table: dict[object, list[object]] = {}
+
+    def successors(stem, state):
+        row = table.get(state)
+        if row is None:
+            last, counts = state
+            row = table[state] = []
+            for z in range(n):
+                c = zero if rank[z] < rank[last] else counts
+                if c[z] < top[z]:
+                    c = c[:z] + (c[z] + 1,) + c[z + 1 :]
+                member = any(all(a <= b for a, b in zip(m, c)) for m in rows)
+                row.append(None if member else (z, c))
+        return row
+
+    first = min(range(n), key=rank.__getitem__)
+    return _walk(lambda: (first, zero), successors, n, cap, budget)
 
 
 def sorted_ideal_report(
@@ -145,10 +236,13 @@ def sorted_ideal_report(
     cap: int,
     budget: int = DEFAULT_MEMBERSHIP_BUDGET,
 ) -> EnumerationReport:
-    ms = monomial_set(M)
-    return enumerate_minimal_generators(
-        lambda u: word_in_sorted_ideal(u, ms, ord), ord.n, cap, budget
-    )
+    """Minimal generators of the sorted-word ideal of M, up to length ``cap``."""
+    rows = _exponent_rows(M, ord.n)
+    if not rows:
+        # the empty set generates the empty ideal: no word is a member
+        _check_walk(cap, ord.n)
+        return EnumerationReport(cap, (), True)
+    return _count_walk(rows, ord.rank, cap, budget)
 
 
 def preimage_report(
@@ -156,12 +250,16 @@ def preimage_report(
     cap: int,
     budget: int = DEFAULT_MEMBERSHIP_BUDGET,
 ) -> EnumerationReport:
+    """Minimal generators of the preimage ideal of M, up to length ``cap``.
+
+    Membership reads the counts of the whole word, which is one segment
+    when every letter has the same rank.
+    """
     ms = monomial_set(M)
     if not ms:
         raise ValueError("preimage enumeration needs a nonempty monomial set")
-    return enumerate_minimal_generators(
-        lambda u: word_in_preimage(u, ms), ms[0].n, cap, budget
-    )
+    n = ms[0].n
+    return _count_walk(_exponent_rows(ms, n), (0,) * n, cap, budget)
 
 
 def finiteness_probe(

@@ -160,6 +160,21 @@ def test_cli_oracle(tmp_path, capsys):
     ]
     assert payload["saturated"] is False
 
+    f.write_text(EXAMPLE)
+    code, payload = run(capsys, "oracle", str(f), "--target", "sorted", "--cap", "8")
+    assert code == 0
+    assert payload["minimal_generators"] == ["b a^3", "b^2 a c", "b^2 a^2 c"]
+    assert payload["saturated"] is True
+
+
+def test_cli_oracle_empty_set(tmp_path, capsys):
+    # the empty ideal has no generators; the walk over every word is skipped
+    f = tmp_path / "empty.mon"
+    f.write_text("letters: a b c\norder: b a c\n")
+    code, payload = run(capsys, "oracle", str(f), "--target", "sorted", "--cap", "40")
+    assert code == 0
+    assert payload == {"cap": 40, "minimal_generators": [], "saturated": True}
+
 
 def test_cli_graph_pipeline(tmp_path, capsys):
     code, payload = run(capsys, "gen-tophat")

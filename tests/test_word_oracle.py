@@ -8,12 +8,15 @@ from monoideal.core import (
     Ordering,
     UnitMonomialError,
     Word,
+    all_orderings,
     divides,
     pi,
     sigma,
     sort_word,
     word_is_factor,
 )
+from monoideal.crosscheck import antichains
+from monoideal.sorted_ideal import complete_enumeration_bound
 from monoideal.word_oracle import (
     EnumerationReport,
     enumerate_minimal_generators,
@@ -161,3 +164,56 @@ def test_finiteness_probe_singletons():
     # a singleton with an internal letter pumps forever: infinite
     assert finiteness_probe(M((2, 3, 1)), IDENT3) is False
     assert finiteness_probe(M((2, 0, 3)), IDENT3) is False
+
+
+def _predicate_report(target, M, ord, cap, budget):
+    if target == "sorted":
+        return enumerate_minimal_generators(
+            lambda u: word_in_sorted_ideal(u, M, ord), ord.n, cap, budget
+        )
+    return enumerate_minimal_generators(
+        lambda u: word_in_preimage(u, M), ord.n, cap, budget
+    )
+
+
+def _count_report(target, M, ord, cap, budget):
+    if target == "sorted":
+        return sorted_ideal_report(M, ord, cap, budget)
+    return preimage_report(M, cap, budget)
+
+
+def _outcome(walk, *args):
+    try:
+        return walk(*args)
+    except BudgetExceededError as e:
+        return str(e)
+
+
+def test_count_walks_match_predicate_walk():
+    # the count walks never call the predicates, which stay their referee
+    for n, degree in ((2, 3), (3, 2)):
+        for members in antichains(n, degree):
+            for ord in all_orderings(n):
+                cap = complete_enumeration_bound(members, ord) + 2
+                assert _count_report("sorted", members, ord, cap, 10**6) == (
+                    _predicate_report("sorted", members, ord, cap, 10**6)
+                ), (members, ord)
+            ident = Ordering.identity(n)
+            assert _count_report("preimage", members, ident, 5, 10**6) == (
+                _predicate_report("preimage", members, ident, 5, 10**6)
+            ), members
+
+
+@pytest.mark.parametrize("target", ["sorted", "preimage"])
+def test_count_walks_spend_the_predicate_budget(target):
+    # a full walk to length 4 takes 121 tests, so both outcomes occur
+    for budget in range(1, 130):
+        args = (target, AB2C_A3B, BAC, 4, budget)
+        assert _outcome(_count_report, *args) == _outcome(_predicate_report, *args), budget
+
+
+def test_empty_set_has_no_generators():
+    assert sorted_ideal_report((), BAC, 40) == EnumerationReport(40, (), True)
+    assert finiteness_probe((), BAC) is True
+    with pytest.raises(ValueError):
+        preimage_report((), 4)
