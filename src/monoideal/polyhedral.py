@@ -3,17 +3,18 @@
 An inequality system is a nonnegative integer matrix A together with a
 finite set W of threshold vectors; it presents the up-closed set of
 nonnegative integer vectors x with Ax >= w for some w in W.  The module
-supplies membership, minimal-generator enumeration inside the exact
-coordinate box, unions, a convexity test by exact rational feasibility,
-verifiers for the three kinds of negative certificates, and the SAT
-reduction instance factories.
+supplies membership, minimal-generator enumeration by a depth-first
+search that carries each threshold's residual demand, unions, a
+convexity test by exact rational feasibility, verifiers for the three
+kinds of negative certificates, and the SAT reduction instance
+factories.  The coordinate box that bounds every minimal generator is
+not scanned; its size only serves the lattice budget.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
@@ -21,7 +22,6 @@ from .core import (
     Monomial,
     MonoidealError,
     Ordering,
-    divides,
     monomial_set,
     some_assignment_passes,
 )
@@ -108,50 +108,114 @@ def _check_vector(sys: IneqSystem, x: Sequence[int]) -> tuple[int, ...]:
     return xt
 
 
+def _meets(ax: Sequence[int], thresholds: Iterable[Sequence[int]]) -> bool:
+    return any(all(a >= b for a, b in zip(ax, w)) for w in thresholds)
+
+
+def _member(sys: IneqSystem, x: Sequence[int]) -> bool:
+    # unchecked kernel: x has the system's length and no negative entry
+    return _meets([sum(a * v for a, v in zip(row, x)) for row in sys.rows], sys.thresholds)
+
+
+def _is_minimal(sys: IneqSystem, x: Sequence[int]) -> bool:
+    # unchecked kernel; decrementing x_j lowers Ax by column j
+    ax = [sum(a * v for a, v in zip(row, x)) for row in sys.rows]
+    return _meets(ax, sys.thresholds) and not any(
+        v > 0 and _meets([a - row[j] for a, row in zip(ax, sys.rows)], sys.thresholds)
+        for j, v in enumerate(x)
+    )
+
+
 def membership(sys: IneqSystem, x: Sequence[int]) -> bool:
     """Whether Ax >= w componentwise for some threshold w."""
-    xt = _check_vector(sys, x)
-    ax = [sum(a * v for a, v in zip(row, xt)) for row in sys.rows]
-    return any(all(a >= b for a, b in zip(ax, w)) for w in sys.thresholds)
+    return _member(sys, _check_vector(sys, x))
 
 
 def is_minimal_generator(sys: IneqSystem, x: Sequence[int]) -> bool:
     """In the ideal, but out of it after decrementing any positive coordinate."""
-    xt = _check_vector(sys, x)
-    if not membership(sys, xt):
-        return False
-    for i, v in enumerate(xt):
-        if v > 0:
-            smaller = list(xt)
-            smaller[i] -= 1
-            if membership(sys, smaller):
-                return False
-    return True
+    return _is_minimal(sys, _check_vector(sys, x))
 
 
 def enumerate_minimal_generators(
     sys: IneqSystem, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
-    """All minimal generators, scanned inside the exact coordinate box.
+    """All minimal generators, sorted, by a depth-first search per threshold.
 
-    Minimal generators have every coordinate bounded by the largest
-    threshold entry: above it, decrementing the coordinate keeps every
-    inequality satisfied.
+    The box.  Every minimal generator has each coordinate at most the
+    largest threshold entry: above it, decrementing the coordinate keeps
+    every inequality satisfied.  The search stays inside that box, and
+    a box of more than ``budget`` points raises ``BudgetExceededError``
+    before any search, exactly as a scan of the box would.
+
+    The search.  For one threshold w it fixes x_0, x_1, ... in turn and
+    carries the residual demand r = max(0, w - Ax) of the prefix.  A
+    prefix whose residual is zero is recorded with every later
+    coordinate 0.  Column j is raised from x_j = v to v + 1 only while
+    it lowers some positive residual entry, and a prefix is dropped when
+    a row with positive residual has no positive entry in columns j on.
+    Each raise of x_j lowers every positive residual row that column j
+    meets by at least 1, so x_j never passes the largest entry of w:
+    every node is a distinct in-box prefix, and the search makes at most
+    about 2 |W| (box + 1)^ncols steps.  The stack is explicit, so
+    ``ncols`` is not bounded by the recursion limit.
+
+    Why every minimal generator is found.  The ideal is the union of
+    the solution sets S_w of Ax >= w, so a minimal generator g of the
+    ideal lies in some S_w and is minimal there.  Take x minimal in S_w
+    and j with x_j > 0.  Since x - e_j is not in S_w, some row r with
+    A[r][j] > 0 has (A(x - e_j))_r < w_r.  Every prefix of x with
+    x_j = v < x_j lies below x - e_j, and A >= 0, so its residual at
+    row r is positive: the search raises x_j and no prune fires (x
+    itself covers every row).  No prefix of x is recorded early, as that
+    would be a solution below x.  So the search records x.
+
+    Why nothing else is returned.  Every recorded candidate is in the
+    ideal.  A candidate that is not minimal lies above a minimal
+    generator, so one decrement of it stays in the ideal, and the final
+    test (``is_minimal_generator``'s kernel, one Ax per candidate)
+    removes it.  The result equals the box points that are minimal
+    generators, in the same sorted order.
     """
     if not sys.thresholds:
         return ()
     box = max((x for w in sys.thresholds for x in w), default=0)
-    points = _box_points(box, sys.ncols, budget)
-    return tuple(sorted(p for p in points if is_minimal_generator(sys, p)))
+    _check_box(box, sys.ncols, budget)
+    n = sys.ncols
+    columns = [[row[j] for row in sys.rows] for j in range(n)]
+    # the rows column j meets, and the rows no column from j on meets
+    meets = [[i for i, a in enumerate(column) if a > 0] for column in columns]
+    stranded = [list(range(len(sys.rows)))]
+    for j in reversed(range(n)):
+        stranded.insert(0, [i for i in stranded[0] if columns[j][i] == 0])
+    candidates = set()
+    for w in sys.thresholds:
+        stack = [(0, tuple(w), ())]
+        while stack:
+            j, residual, prefix = stack.pop()
+            if not any(residual):
+                candidates.add(prefix + (0,) * (n - j))
+                continue
+            if any(residual[i] for i in stranded[j]):
+                continue
+            column = columns[j]
+            v = 0
+            while True:
+                stack.append((j + 1, residual, prefix + (v,)))
+                if not any(residual[i] for i in meets[j]):
+                    break
+                residual = tuple(
+                    r - a if r > a else 0 for r, a in zip(residual, column)
+                )
+                v += 1
+    return tuple(sorted(x for x in candidates if _is_minimal(sys, x)))
 
 
-def _box_points(top: int, n: int, budget: int) -> Iterable[tuple[int, ...]]:
-    """The lattice points of [0, top]^n; more than ``budget`` of them is an error."""
+def _check_box(top: int, n: int, budget: int) -> None:
+    """Refuse a box [0, top]^n of more than ``budget`` lattice points."""
     if (top + 1) ** n > budget:
         raise BudgetExceededError(
             f"lattice box of {(top + 1) ** n} points exceeds the budget {budget}"
         )
-    return itertools.product(range(top + 1), repeat=n)
 
 
 def from_generators(M: Sequence[Monomial]) -> IneqSystem:
@@ -193,9 +257,14 @@ def union(systems: Sequence[IneqSystem]) -> IneqSystem:
 # convexity via exact rational feasibility
 
 def _fourier_motzkin_feasible(
-    constraints: list[tuple[list[Fraction], Fraction]], nvars: int
+    constraints: list[tuple[list[int], int]], nvars: int
 ) -> bool:
-    """Decide whether {lam : coeffs . lam <= rhs for all constraints} is nonempty."""
+    """Decide whether {lam : coeffs . lam <= rhs for all constraints} is nonempty.
+
+    The coefficients are integers, and each elimination step combines two
+    constraints with positive integer multipliers, so the arithmetic stays
+    exact in plain integers.
+    """
     cons = constraints
     for var in range(nvars - 1, -1, -1):
         pos, neg, rest = [], [], []
@@ -212,7 +281,7 @@ def _fourier_motzkin_feasible(
             coeffs = [
                 scale_p * pc[i] + scale_n * nc[i] for i in range(var)
             ]
-            rest.append((coeffs + [Fraction(0)] * (nvars - var), scale_p * pr + scale_n * nr))
+            rest.append((coeffs + [0] * (nvars - var), scale_p * pr + scale_n * nr))
         cons = rest
     return all(rhs >= 0 for _, rhs in cons)
 
@@ -229,15 +298,15 @@ def in_hull_plus_orthant(M: Sequence[Monomial], x: Sequence[int]) -> bool:
     last = ms[-1].exponents
     # variables lam_0..lam_{k-2}; lam_{k-1} = 1 - sum of the others
     nv = k - 1
-    cons: list[tuple[list[Fraction], Fraction]] = []
+    cons: list[tuple[list[int], int]] = []
     for i in range(nv):
-        coeffs = [Fraction(0)] * nv
-        coeffs[i] = Fraction(-1)
-        cons.append((coeffs, Fraction(0)))  # lam_i >= 0
-    cons.append(([Fraction(1)] * nv, Fraction(1)))  # lam_last >= 0
+        coeffs = [0] * nv
+        coeffs[i] = -1
+        cons.append((coeffs, 0))  # lam_i >= 0
+    cons.append(([1] * nv, 1))  # lam_last >= 0
     for j in range(n):
-        coeffs = [Fraction(ms[i].exponents[j] - last[j]) for i in range(nv)]
-        cons.append((coeffs, Fraction(x[j] - last[j])))
+        coeffs = [ms[i].exponents[j] - last[j] for i in range(nv)]
+        cons.append((coeffs, x[j] - last[j]))
     return _fourier_motzkin_feasible(cons, nv)
 
 
@@ -247,17 +316,22 @@ def convexity_check(
     """Whether the ideal of M consists exactly of the lattice points above conv(M).
 
     Scans the box [0, maxdeg+1]^n: the ideal is convex iff no box point in
-    the dominated-hull region lies outside the ideal.
+    the dominated-hull region lies outside the ideal.  Points that a
+    member divides are skipped before the exact feasibility test.
     """
     ms = monomial_set(M)
     if not ms:
         return True
     n = ms[0].n
     top = max(m.degree for m in ms) + 1
-    for point in _box_points(top, n, budget):
+    _check_box(top, n, budget)
+    exponents = [m.exponents for m in ms]
+    for point in itertools.product(range(top + 1), repeat=n):
+        # a point of the ideal is never a counterexample
+        if any(all(p >= e for p, e in zip(point, ex)) for ex in exponents):
+            continue
         if in_hull_plus_orthant(ms, point):
-            if not any(divides(m, Monomial(point)) for m in ms):
-                return False
+            return False
     return True
 
 
@@ -323,7 +397,7 @@ def _no_member_on(sys: IneqSystem, z: int, t: int | None = None) -> bool:
 def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
     """Check a claimed negative certificate in polynomial time."""
     m = _check_vector(sys, cert.generator)
-    if not is_minimal_generator(sys, m):
+    if not _is_minimal(sys, m):
         return False
     if cert.kind == "support3":
         return sum(1 for v in m if v > 0) >= 3
@@ -361,12 +435,9 @@ def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
     m_right = tuple(
         v if ordering.rank[i] >= ordering.rank[z] else 0 for i, v in enumerate(m)
     )
-    if not sub.rows:
-        # no surviving inequalities: the subsystem accepts everything
-        # whenever it has any threshold at all
-        accepts = bool(sub.thresholds)
-        return not accepts
-    return not membership(sub, m_left) and not membership(sub, m_right)
+    # with no surviving rows, the subsystem accepts everything whenever it
+    # has a threshold, whatever the vectors' length
+    return not _member(sub, m_left) and not _member(sub, m_right)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,21 @@ def test_cli_budget_exceeded(tmp_path, capsys, monkeypatch):
     assert code == 3 and "error" in payload
 
 
+def test_cli_box_budget_exceeded(tmp_path, capsys, monkeypatch):
+    # both commands count the points of their lattice box against the budget
+    monkeypatch.setenv("MONOIDEAL_BUDGET", "1000")
+    sys_file = tmp_path / "big.json"
+    sys_file.write_text(json.dumps({"A": [[1] * 10], "W": [[9]]}))
+    code, payload = run(capsys, "poly-mingens", str(sys_file))
+    assert code == 3
+    assert payload == {"error": "lattice box of 10000000000 points exceeds the budget 1000"}
+    mon = tmp_path / "wide.mon"
+    mon.write_text("letters: a b c\na^5 b^5 c^5\n")
+    code, payload = run(capsys, "convexity", str(mon))
+    assert code == 3
+    assert payload == {"error": "lattice box of 4913 points exceeds the budget 1000"}
+
+
 def test_cli_huge_exponents(tmp_path, capsys):
     f = tmp_path / "huge.mon"
     f.write_text("letters: a b c\norder: a b c\na c\nb^1000000000\n")

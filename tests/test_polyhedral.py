@@ -1,9 +1,19 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoideal.core import BudgetExceededError, Monomial, MonoidealError, Ordering
+from monoideal.core import (
+    BudgetExceededError,
+    Monomial,
+    MonoidealError,
+    Ordering,
+    divides,
+    is_antichain,
+)
 from monoideal.polyhedral import (
     Certificate,
     IneqSystem,
@@ -72,10 +82,163 @@ def test_mdois_assignment_is_a_support3_certificate():
     assert verify_certificate(sys_, Certificate("support3", assignment))
 
 
+def _box_products(rows, ncols, top):
+    """Ax for every point x of the box [0, top]^ncols, built one column at a time."""
+    products = {(): [0] * len(rows)}
+    for j in range(ncols):
+        column = [row[j] for row in rows]
+        products = {
+            x + (v,): [s + v * a for s, a in zip(sx, column)]
+            for x, sx in products.items()
+            for v in range(top + 1)
+        }
+    return products
+
+
+def _minimal_box_points(top, ncols, member):
+    """The points of [0, top]^ncols that are members and whose one-step
+    decrements are not, in lexicographic order."""
+    points = list(itertools.product(range(top + 1), repeat=ncols))
+    inside = set(filter(member, points))
+    return tuple(
+        x
+        for x in points
+        if x in inside
+        and not any(v and x[:j] + (v - 1,) + x[j + 1 :] in inside for j, v in enumerate(x))
+    )
+
+
+def _box_scan_generators(sys_):
+    """The referee: ``is_minimal_generator`` on every point of the coordinate
+    box, with Ax tabulated once per point and no code shared with the package."""
+    if not sys_.thresholds:
+        return ()
+    box = max((x for w in sys_.thresholds for x in w), default=0)
+    products = _box_products(sys_.rows, sys_.ncols, box)
+    needs = [[(r, b) for r, b in enumerate(w) if b] for w in sys_.thresholds]
+    return _minimal_box_points(
+        box,
+        sys_.ncols,
+        lambda x: any(all(products[x][r] >= b for r, b in need) for need in needs),
+    )
+
+
+def _random_system(rng):
+    ncols = rng.randint(1, 4)
+    rows = [[rng.randint(0, 3) for _ in range(ncols)] for _ in range(rng.randint(0, 3))]
+    thresholds = [[rng.randint(0, 3) for _ in rows] for _ in range(rng.randint(0, 3))]
+    names = [f"v{j}" for j in range(ncols)] if not rows or rng.random() < 0.3 else None
+    return IneqSystem.make(rows, thresholds, names)
+
+
+def _random_cnf(rng, variables=3):
+    clauses = []
+    for _ in range(rng.randint(1, 6)):
+        vs = rng.sample(range(1, variables + 1), rng.randint(1, 3))
+        clauses.append(tuple(sorted(v if rng.random() < 0.5 else -v for v in vs)))
+    return SatInstance(variables, tuple(clauses))
+
+
+def test_mingens_match_box_scan_on_every_small_system():
+    # every matrix with 1-2 rows, 1-3 columns and entries 0-2, against
+    # every set of one or two thresholds with entries 0-3.  The rows are
+    # taken in sorted order only: listing them in another order, with the
+    # threshold entries alike, relabels the rows and changes neither the
+    # ideal nor the search.  The box scan of each matrix records once
+    # which thresholds each point of [0, 3]^ncols meets.
+    checked = 0
+    for nrows, ncols in itertools.product((1, 2), (1, 2, 3)):
+        thresholds = list(itertools.product(range(4), repeat=nrows))
+        threshold_sets = [(w,) for w in thresholds] + list(
+            itertools.combinations(thresholds, 2)
+        )
+        for rows in itertools.combinations_with_replacement(
+            itertools.product(range(3), repeat=ncols), nrows
+        ):
+            meets = {
+                x: {w for w in thresholds if all(a >= b for a, b in zip(ax, w))}
+                for x, ax in _box_products(rows, ncols, 3).items()
+            }
+            for ws in threshold_sets:
+                sys_ = IneqSystem.make(rows, ws)
+                box = max(x for w in ws for x in w)
+                expected = _minimal_box_points(
+                    box, ncols, lambda x: not meets[x].isdisjoint(ws)
+                )
+                assert enumerate_minimal_generators(sys_) == expected, (rows, ws)
+                checked += 1
+    assert checked == 58_734
+
+
+def test_mingens_match_box_scan_on_random_systems():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(2000):
+        sys_ = _random_system(rng)
+        kinds.add((bool(sys_.rows), sys_.names is not None))
+        assert enumerate_minimal_generators(sys_) == _box_scan_generators(sys_)
+    assert kinds == {(False, True), (True, False), (True, True)}
+
+
+def test_mingens_match_box_scan_on_sat_reductions():
+    rng = random.Random(8)
+    for _ in range(100):
+        inst = _random_cnf(rng)
+        for target in ("mdois", "imfg", "pinfg"):
+            sys_ = sat_reduction(inst, target)
+            assert enumerate_minimal_generators(sys_) == _box_scan_generators(sys_)
+
+
+@st.composite
+def _systems(draw):
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 3))
+    entry = st.integers(0, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    thresholds = draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows), max_size=3))
+    names = [f"v{j}" for j in range(ncols)] if draw(st.booleans()) or not rows else None
+    return IneqSystem.make(rows, thresholds, names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_mingens_match_box_scan_property(sys_):
+    assert enumerate_minimal_generators(sys_) == _box_scan_generators(sys_)
+
+
 def test_enumeration_budget():
     big = IneqSystem.make([[1] * 10], [[9] * 1])
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         enumerate_minimal_generators(big, budget=1000)
+    assert str(err.value) == "lattice box of 10000000000 points exceeds the budget 1000"
+    # a box of exactly the budget is enumerated; one point more is refused
+    assert enumerate_minimal_generators(HALF_PLANE5, budget=36) == _box_scan_generators(
+        HALF_PLANE5
+    )
+    with pytest.raises(BudgetExceededError):
+        enumerate_minimal_generators(HALF_PLANE5, budget=35)
+
+
+def test_enumeration_depth_is_not_recursion():
+    # x_1 + ... + x_200 >= 1 and the odd columns' sum >= 1: the generators
+    # are the odd unit vectors; the search is 200 columns deep, past the
+    # recursion limit set here
+    n = 200
+    sys_ = IneqSystem.make([[1] * n, [j % 2 for j in range(n)]], [[1, 1]])
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        gens = enumerate_minimal_generators(sys_, budget=2**n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert gens == tuple(
+        sorted(tuple(int(i == j) for i in range(n)) for j in range(1, n, 2))
+    )
 
 
 def test_from_generators():
@@ -123,6 +286,33 @@ def test_hull_membership():
     assert not in_hull_plus_orthant(gens, (1, 0))
     assert in_hull_plus_orthant(M((3, 1),), (3, 2))
     assert not in_hull_plus_orthant(M((3, 1),), (2, 5))
+
+
+def _convexity_by_hull_scan(M):
+    """The referee: the hull test on every box point, then divisibility."""
+    if not M:
+        return True
+    n = M[0].n
+    top = max(m.degree for m in M) + 1
+    for point in itertools.product(range(top + 1), repeat=n):
+        if in_hull_plus_orthant(M, point):
+            if not any(divides(m, Monomial(point)) for m in M):
+                return False
+    return True
+
+
+def test_convexity_matches_hull_scan_on_small_antichains():
+    checked = 0
+    for n in (2, 3):
+        nonunits = [e for e in itertools.product(range(3), repeat=n) if any(e)]
+        for k in (1, 2, 3):
+            for members in itertools.combinations(nonunits, k):
+                ms = M(*members)
+                if not is_antichain(ms):
+                    continue
+                assert convexity_check(ms) == _convexity_by_hull_scan(ms), members
+                checked += 1
+    assert checked == 556
 
 
 def test_convexity_check():
