@@ -5,7 +5,8 @@ a complete search: quadratic sets reduce to finding an acyclic orientation
 of an associated graph that is transitive at the letters whose square is
 missing, and the general case runs a branch-and-bound over letter
 permutations that prunes as soon as a placed letter is internal to some
-member without the required extremal cover.
+member without the required extremal cover.  Both searches share the cover
+kernel ``sorted_ideal._cover_supports`` (with ``_has_extremal_cover``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .core import (
     monomial_set,
     support,
 )
-from .sorted_ideal import is_fg_sorted
+from .sorted_ideal import _cover_supports, _has_extremal_cover, is_fg_sorted
 from .torientation import (
     TGraph,
     orientation_to_ordering,
@@ -50,23 +51,17 @@ def all_orderings_cool(M: Sequence[Monomial]) -> bool:
     For each member ``m`` and letter ``x`` whose erasure from ``m`` leaves
     support of size at least two, some member of support size at most two
     must contain ``x`` (so ``x`` is extremal in it under any ordering) and
-    divide ``m`` once ``x`` is erased from it.
+    divide ``m`` once ``x`` is erased: a cover candidate with at most one letter.
     """
     ms = ensure_antichain(M, "M")
     ensure_nonunit(ms, "M")
-    if not ms:
-        return True
-    n = ms[0].n
-    m2 = [u for u in ms if len(support(u)) <= 2]
-    for m in ms:
-        for x in range(n):
-            if len(support(erase(m, x))) < 2:
-                continue
-            if not any(
-                x in support(u) and divides(erase(u, x), m) for u in m2
-            ):
-                return False
-    return True
+    rows = [m.exponents for m in ms]
+    return all(
+        any(len(c) <= 1 for c in _cover_supports(rows, w, x))
+        for w in rows
+        for x in range(len(w))
+        if sum(1 for y, e in enumerate(w) if e and y != x) >= 2
+    )
 
 
 def helps(w: Monomial, m: Monomial, x: int) -> bool:
@@ -204,16 +199,11 @@ def find_cool_ordering(
 
 def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
     supports = [support(m) for m in M]
-    # cover_candidates[(mi, x)] = supports of erase(s, x) for members s that
-    # could cover x internal to M[mi], ignoring order information.
-    cover: dict[tuple[int, int], list[frozenset[int]]] = {}
-    for mi, m in enumerate(M):
-        for x in range(n):
-            cands = []
-            for s in M:
-                if x in support(s) and divides(erase(s, x), m):
-                    cands.append(support(s) - {x})
-            cover[(mi, x)] = cands
+    # cover[(mi, x)]: supports, less x, of the members that may cover x in M[mi].
+    rows = [m.exponents for m in M]
+    cover = {
+        (mi, x): _cover_supports(rows, w, x) for mi, w in enumerate(rows) for x in range(n)
+    }
 
     prefix: list[int] = []
     placed: set[int] = set()
@@ -228,13 +218,7 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
             after = bool(supp - placed - {x})
             if not (before and after):
                 continue  # x is not internal to this member
-            covered = False
-            for cand in cover[(mi, x)]:
-                overlap = cand & placed
-                if not overlap or overlap == cand:
-                    covered = True  # x is the min or the max of that cover
-                    break
-            if not covered:
+            if not _has_extremal_cover(cover[(mi, x)], placed):
                 return False
         return True
 

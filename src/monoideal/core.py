@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 # Exponent arithmetic is checked against a 64-bit budget: exponents may be
@@ -285,9 +286,9 @@ def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
 
 def is_antichain(M: Iterable[Monomial]) -> bool:
-    ms = monomial_set(M)
-    for u, v in itertools.combinations(ms, 2):
-        if divides(u, v) or divides(v, u):
+    rows = [m.exponents for m in monomial_set(M)]
+    for u, v in itertools.combinations(rows, 2):
+        if all(map(le, u, v)) or all(map(le, v, u)):
             return False
     return True
 

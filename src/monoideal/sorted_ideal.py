@@ -6,7 +6,8 @@ when every internal letter of every member is "covered": some member has
 that letter extremal and divides the first member once the letter is
 erased.  This module decides that criterion, emits generating sets and
 minimal generators, evaluates the size bound, and lifts the answer to the
-leading-word data of a finite noncommutative Groebner basis.
+leading-word data of a finite noncommutative Groebner basis.  The cover
+rule is one tuple kernel, ``_cover_supports``, shared with ``cool_orderings``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    AlphabetMismatchError,
     Monomial,
     NotFinitelyGeneratedError,
     Ordering,
@@ -23,11 +25,9 @@ from .core import (
     divides,
     ensure_antichain,
     ensure_nonunit,
-    erase,
     extremal_degree_max,
     extremal_internal,
     internal_letters,
-    is_extremal,
     monomial_set,
     sigma,
     sorted_words,
@@ -56,10 +56,18 @@ def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
     return sorted(M, key=key)
 
 
-def _covered(M: Sequence[Monomial], w: Monomial, x: int, ord: Ordering) -> bool:
-    return any(
-        is_extremal(s, x, ord) and divides(erase(s, x), w) for s in M
-    )
+def _cover_supports(rows: Sequence[tuple], w: tuple, x: int) -> list[frozenset[int]]:
+    """``supp(s) - {x}`` for each exponent row ``s`` holding ``x`` with ``erase(s, x) | w``."""
+    return [
+        frozenset(i for i, e in enumerate(s) if e and i != x)
+        for s in rows
+        if s[x] and all(a <= b or i == x for i, (a, b) in enumerate(zip(s, w)))
+    ]
+
+
+def _has_extremal_cover(cands: Iterable[frozenset[int]], before: set[int]) -> bool:
+    """Whether a candidate is a subset of, or disjoint from, the letters ranked before ``x``."""
+    return any(c <= before or c.isdisjoint(before) for c in cands)
 
 
 def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
@@ -71,9 +79,15 @@ def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
     """
     ms = ensure_antichain(M, "M")
     ensure_nonunit(ms, "M")
+    if ms and ms[0].n != ord.n:
+        raise AlphabetMismatchError("monomial and ordering sizes differ")
+    rows = [m.exponents for m in ms]
+    seq = ord.sequence()
     for w in _scan_order(ms, ord):
-        for x in sorted(internal_letters(w, ord), key=lambda i: ord.rank[i]):
-            if not _covered(ms, w, x, ord):
+        ranks = [ord.rank[y] for y, e in enumerate(w.exponents) if e]
+        for r in range(min(ranks) + 1, max(ranks)):
+            x = seq[r]
+            if not _has_extremal_cover(_cover_supports(rows, w.exponents, x), set(seq[:r])):
                 return FgWitness(False, (w, x))
     return FgWitness(True, None)
 

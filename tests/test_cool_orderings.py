@@ -23,9 +23,11 @@ from monoideal.cool_orderings import (
 )
 from monoideal.crosscheck import (
     check_quadratic_bridge,
+    representative_antichains,
     representative_quadratic_sets,
 )
 from monoideal.torientation import ordering_to_orientation, is_valid_t_orientation
+from monoideal.word_oracle import finiteness_probe
 
 from conftest import M
 
@@ -75,6 +77,16 @@ def test_all_orderings_cool_matches_exhaustive_scan():
         for members in representative_antichains(n, 2):
             exhaustive = all(is_cool(members, ord) for ord in all_orderings(n))
             assert all_orderings_cool(members) == exhaustive, members
+
+
+def test_word_oracle_referees_both_searches():
+    # is_cool shares the cover kernel with both searches, so the word
+    # oracle is the independent referee here
+    for n, degree in [(3, 3), (4, 2)]:
+        for members in representative_antichains(n, degree):
+            probes = [finiteness_probe(members, ord) for ord in all_orderings(n)]
+            assert find_cool_ordering(members, n).found == any(probes), members
+            assert all_orderings_cool(members) == all(probes), members
 
 
 def test_helps():

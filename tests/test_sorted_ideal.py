@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from monoideal.core import (
     Alphabet,
+    AlphabetMismatchError,
     Monomial,
     NotAntichainError,
     NotFinitelyGeneratedError,
@@ -13,11 +14,16 @@ from monoideal.core import (
     UnitMonomialError,
     Word,
     all_orderings,
+    divides,
+    erase,
     format_word,
+    internal_letters,
+    is_extremal,
     sigma,
     support,
     word_is_factor,
 )
+from monoideal.cool_orderings import is_cool
 from monoideal.sorted_ideal import (
     commutator_leading_words,
     complete_enumeration_bound,
@@ -57,6 +63,45 @@ def test_is_fg_sorted_validates_input():
         is_fg_sorted(M((1, 0), (1, 1)), Ordering.identity(2))
     with pytest.raises(UnitMonomialError):
         is_fg_sorted(M((0, 0)), Ordering.identity(2))
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [lambda members, ord: is_fg_sorted(members, ord).verdict, is_cool],
+    ids=["is_fg_sorted", "is_cool"],
+)
+@pytest.mark.parametrize("size", [1, 3])
+def test_ordering_of_the_wrong_size_is_refused(verdict, size):
+    with pytest.raises(AlphabetMismatchError, match="monomial and ordering sizes differ"):
+        verdict(M((1, 1)), Ordering.identity(size))
+    assert verdict((), Ordering.identity(size)) is True  # the empty set fits every ordering
+
+
+def referee_violator(members, ord):
+    """First uncovered (member, internal letter) pair, from the core predicates.
+
+    Members are scanned by their sorted words in rank-lexicographic order,
+    internal letters by rank.
+    """
+
+    def covered(w, x):
+        return any(is_extremal(s, x, ord) and divides(erase(s, x), w) for s in members)
+
+    for w in sorted(members, key=lambda m: [ord.rank[x] for x in sigma(m, ord).letters]):
+        for x in sorted(internal_letters(w, ord), key=lambda i: ord.rank[i]):
+            if not covered(w, x):
+                return (w, x)
+    return None
+
+
+def test_violator_matches_referee():
+    from monoideal.crosscheck import antichains
+
+    for n, degree, step in [(2, 3, 1), (3, 2, 1), (3, 3, 5), (4, 2, 5)]:
+        for members in itertools.islice(antichains(n, degree), 0, None, step):
+            for ord in all_orderings(n):
+                found = is_fg_sorted(members, ord).violator
+                assert found == referee_violator(members, ord), (members, ord.rank)
 
 
 def test_fg_generating_set_worked_example():
