@@ -480,65 +480,97 @@ def _cmd_crosscheck(args):
     return (0 if ok else 1), {"disagreements": results, "ok": ok}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_FILE = _arg("file")
+_ORDER = _arg("--order", help="letter names from smallest to largest")
+
+# One row per subcommand: name, handler, help, and its argument specs in
+# the order they are added.
+COMMANDS = (
+    ("reduce", _cmd_reduce, "divisibility-minimal members of a monomial list", (_FILE,)),
+    ("check-fg", _cmd_check_fg, "finite generation of the sorted-word ideal", (_FILE, _ORDER)),
+    ("generators", _cmd_generators, "generators of the sorted-word ideal",
+     (_FILE, _ORDER, _arg("--raw", action="store_true", help="skip the minimality pass"))),
+    ("gb-lift", _cmd_gb_lift, "leading words of the lifted Groebner basis", (_FILE, _ORDER)),
+    ("is-cool", _cmd_is_cool, "test one ordering", (_FILE, _ORDER)),
+    ("find-cool", _cmd_find_cool, "search for a cool ordering", (_FILE,)),
+    ("all-cool", _cmd_all_cool, "test whether every ordering is cool", (_FILE,)),
+    ("preimage-fg", _cmd_preimage_fg, "finite generation of the abelianization preimage",
+     (_FILE,)),
+    ("oracle", _cmd_oracle, "bounded enumeration of minimal word generators",
+     (_FILE, _ORDER, _arg("--target", choices=("sorted", "preimage"), required=True),
+      _arg("--cap", type=int, required=True))),
+    ("torient", _cmd_torient, "search for an acyclic T-orientation", (_FILE,)),
+    ("gen-tophat", _cmd_gen_tophat, "emit the seven-vertex hat gadget", ()),
+    ("gen-gadget", _cmd_gen_gadget, "emit the three-hat clause gadget", ()),
+    ("reduce-nae", _cmd_reduce_nae, "reduce a NAE-3SAT instance to a T-orientation graph",
+     (_FILE,)),
+    ("poly-member", _cmd_poly_member, "membership in an inequality-presented ideal",
+     (_FILE, _arg("--vector", required=True))),
+    ("poly-mingens", _cmd_poly_mingens, "minimal generators of an inequality-presented ideal",
+     (_FILE,)),
+    ("poly-union", _cmd_poly_union, "union of single-threshold systems",
+     (_arg("files", nargs="+"),)),
+    ("verify-cert", _cmd_verify_cert, "verify a negative certificate",
+     (_FILE, _arg("certificate"))),
+    ("reduce-sat", _cmd_reduce_sat, "reduce a CNF to an inequality-presented ideal",
+     (_FILE, _arg("--target", choices=("mdois", "imfg", "pinfg"), required=True))),
+    ("convexity", _cmd_convexity, "test convexity of a monomial ideal", (_FILE,)),
+    ("crosscheck", _cmd_crosscheck, "run the invariant sweeps",
+     tuple(_arg(flag, type=int, default=default) for flag, default in (
+         ("--letters", 3), ("--max-degree", 2), ("--quadratic-letters", 4),
+         ("--nae-variables", 2), ("--nae-clauses", 1), ("--sat-variables", 3),
+         ("--sat-clauses", 1)))),
+)
+_COMMAND_NAMES = tuple(row[0] for row in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` of that one alone.
+
+    A one-command parser still names every command in its usage line, so
+    its top-level errors print as the full parser's.  The full parser keeps
+    the default metavar, because a set one also renames the action in the
+    "invalid choice" and "required" errors.
+    """
     parser = argparse.ArgumentParser(
         prog="monoideal",
         description="finite generation of word ideals from commutative monomial data",
     )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, help_, *, order=False, file=True):
-        p = sub.add_parser(name, help=help_)
-        if file:
-            p.add_argument("file")
-        if order:
-            p.add_argument("--order", help="letter names from smallest to largest")
-        p.set_defaults(handler=handler)
-        return p
-
-    cmd("reduce", _cmd_reduce, "divisibility-minimal members of a monomial list")
-    cmd("check-fg", _cmd_check_fg, "finite generation of the sorted-word ideal", order=True)
-    p = cmd("generators", _cmd_generators, "generators of the sorted-word ideal", order=True)
-    p.add_argument("--raw", action="store_true", help="skip the minimality pass")
-    cmd("gb-lift", _cmd_gb_lift, "leading words of the lifted Groebner basis", order=True)
-    cmd("is-cool", _cmd_is_cool, "test one ordering", order=True)
-    cmd("find-cool", _cmd_find_cool, "search for a cool ordering")
-    cmd("all-cool", _cmd_all_cool, "test whether every ordering is cool")
-    cmd("preimage-fg", _cmd_preimage_fg, "finite generation of the abelianization preimage")
-    p = cmd("oracle", _cmd_oracle, "bounded enumeration of minimal word generators", order=True)
-    p.add_argument("--target", choices=("sorted", "preimage"), required=True)
-    p.add_argument("--cap", type=int, required=True)
-    cmd("torient", _cmd_torient, "search for an acyclic T-orientation")
-    cmd("gen-tophat", _cmd_gen_tophat, "emit the seven-vertex hat gadget", file=False)
-    cmd("gen-gadget", _cmd_gen_gadget, "emit the three-hat clause gadget", file=False)
-    cmd("reduce-nae", _cmd_reduce_nae, "reduce a NAE-3SAT instance to a T-orientation graph")
-    p = cmd("poly-member", _cmd_poly_member, "membership in an inequality-presented ideal")
-    p.add_argument("--vector", required=True)
-    cmd("poly-mingens", _cmd_poly_mingens, "minimal generators of an inequality-presented ideal")
-    p = sub.add_parser("poly-union", help="union of single-threshold systems")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(handler=_cmd_poly_union)
-    p = cmd("verify-cert", _cmd_verify_cert, "verify a negative certificate")
-    p.add_argument("certificate")
-    p = cmd("reduce-sat", _cmd_reduce_sat, "reduce a CNF to an inequality-presented ideal")
-    p.add_argument("--target", choices=("mdois", "imfg", "pinfg"), required=True)
-    cmd("convexity", _cmd_convexity, "test convexity of a monomial ideal")
-    p = sub.add_parser("crosscheck", help="run the invariant sweeps")
-    p.add_argument("--letters", type=int, default=3)
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--quadratic-letters", type=int, default=4)
-    p.add_argument("--nae-variables", type=int, default=2)
-    p.add_argument("--nae-clauses", type=int, default=1)
-    p.add_argument("--sat-variables", type=int, default=3)
-    p.add_argument("--sat-clauses", type=int, default=1)
-    p.set_defaults(handler=_cmd_crosscheck)
+    metavar = None if command is None else "{" + ",".join(_COMMAND_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, help_, arguments in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
+def _requested_command(argv: Sequence[str]) -> str | None:
+    """The command of ``[--pretty ...] <command> ...``, else None.
+
+    Only spellings of ``--pretty`` may come before the command; any other
+    leading token (``-h``, ``--``, ``-``, a negative number) may change how
+    argparse reads the line, so it gets the full parser.
+    """
+    for token in argv:
+        if not token.startswith("-"):
+            return token if token in _COMMAND_NAMES else None
+        if len(token) < 3 or not "--pretty".startswith(token):
+            return None
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_requested_command(argv)).parse_args(argv)
     try:
         code, payload = args.handler(args)
     except ParseError as exc:

@@ -25,7 +25,6 @@ from .core import (
     divides,
     ensure_antichain,
     ensure_nonunit,
-    extremal_degree_max,
     extremal_internal,
     internal_letters,
     monomial_set,
@@ -106,10 +105,11 @@ def fg_generating_set(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
         raise NotFinitelyGeneratedError(
             "the sorted-word ideal is not finitely generated under this ordering"
         )
+    r, internal_sets = _extremal_scan(ms, ord)
     words: list[Word] = []
-    for w in ms:
-        internals = sorted(internal_letters(w, ord))
-        ranges = [range(extremal_degree_max(ms, x, ord) - w.exponents[x]) for x in internals]
+    for w, internal in zip(ms, internal_sets):
+        internals = sorted(internal)
+        ranges = [range(r[x] - w.exponents[x]) for x in internals]
         for extras in itertools.product(*ranges):
             e = list(w.exponents)
             for x, extra in zip(internals, extras):
@@ -119,15 +119,35 @@ def fg_generating_set(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
 
 
 def minimal_word_generators(S: Iterable[Word]) -> tuple[Word, ...]:
-    """Members of ``S`` having no proper factor in ``S``."""
-    words = sorted(set(S), key=lambda w: (len(w.letters), w.letters))
-    out = []
-    for w in words:
-        if not any(
-            v != w and word_is_factor(v, w) for v in words if len(v) <= len(w)
-        ):
+    """Members of ``S`` having no proper factor in ``S``.
+
+    Words are taken shortest first and each is compared with the shorter
+    words kept so far only: a proper factor is shorter, and when it is not
+    kept it has a kept factor of its own, which is then a factor of the word.
+    """
+    out: list[Word] = []
+    for w in sorted(set(S), key=lambda w: (len(w.letters), w.letters)):
+        if not any(len(v) < len(w) and word_is_factor(v, w) for v in out):
             out.append(w)
     return tuple(out)
+
+
+def _extremal_scan(
+    ms: Sequence[Monomial], ord: Ordering
+) -> tuple[list[int], list[frozenset[int]]]:
+    """``extremal_degree_max(ms, x, ord)`` for every letter ``x``, and
+    ``internal_letters(w, ord)`` for every member ``w``, in one pass over ``ms``."""
+    r = [0] * ord.n
+    internals = []
+    for w in ms:
+        if w.is_unit:
+            internals.append(frozenset())
+            continue
+        lo, hi, internal = extremal_internal(w, ord)
+        for x in (lo, hi):
+            r[x] = max(r[x], w.exponents[x])
+        internals.append(internal)
+    return r, internals
 
 
 def _in_ideal(M: Sequence[Monomial], m: Monomial) -> bool:
@@ -184,15 +204,11 @@ def _bounded_vectors(k: int, total: int):
 def generator_count_bound(M: Sequence[Monomial], ord: Ordering) -> int:
     """Upper bound on the number of generators when the ideal is finite."""
     ms = monomial_set(M)
-    with_internal = [w for w in ms if internal_letters(w, ord)]
-    int_union: set[int] = set()
-    for w in with_internal:
-        int_union |= internal_letters(w, ord)
+    r, internals = _extremal_scan(ms, ord)
+    with_internal = [i for i in internals if i]
     product = 1
-    for x in sorted(int_union):
-        product *= extremal_degree_max(ms, x, ord)
-    if not with_internal:
-        product = 1
+    for x in set().union(*with_internal):
+        product *= r[x]
     return len(with_internal) * product + len(ms) - len(with_internal)
 
 
@@ -251,11 +267,12 @@ def complete_enumeration_bound(M: Sequence[Monomial], ord: Ordering) -> int:
     and the maximum of the right-hand side over ``w`` bounds all of them.
     """
     ms = monomial_set(M)
+    r, internals = _extremal_scan(ms, ord)
     best = 0
-    for w in ms:
+    for w, internal in zip(ms, internals):
         total = w.degree
-        for x in internal_letters(w, ord):
-            total += extremal_degree_max(ms, x, ord) - 1
+        for x in internal:
+            total += r[x] - 1
         best = max(best, total)
     return best
 

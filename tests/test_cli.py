@@ -1,8 +1,14 @@
+import argparse
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from monoideal import cli
 from monoideal.cli import (
+    COMMANDS,
     main,
     parse_cnf_file,
     parse_monomial_file,
@@ -349,3 +355,103 @@ def test_cli_pretty(tmp_path, capsys):
     code = main(["--pretty", "check-fg", str(f)])
     out = capsys.readouterr().out
     assert code == 0 and "\n  " in out
+
+
+COMMAND_NAMES = [row[0] for row in COMMANDS]
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def full_parser_outcome(capsys, monkeypatch, argv):
+    """The same call with the parser of every command, whatever ``main`` asks for."""
+    full = cli.build_parser
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda command=None: full())
+        return outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_command_help_matches_full_parser(capsys, monkeypatch, command):
+    got = outcome(capsys, [command, "-h"])
+    assert got == full_parser_outcome(capsys, monkeypatch, [command, "-h"])
+    assert got[0] == 0 and f"usage: monoideal {command}" in got[1]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-h"], 0),
+        ([], 2),
+        (["nope"], 2),
+        (["check-fg"], 2),
+        (["oracle", "{f}", "--target", "x", "--cap", "3"], 2),
+        (["check-fg", "{f}", "--pretty"], 2),
+        (["--pre", "check-fg", "{f}"], 0),
+        (["-h", "check-fg"], 0),
+        (["-", "check-fg", "{f}"], 2),
+        (["-1", "check-fg", "{f}"], 2),
+        (["--", "check-fg", "{f}"], 2),
+        (["gen-tophat", "extra"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_usage_matches_full_parser(tmp_path, capsys, monkeypatch, argv, code):
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    argv = [str(f) if token == "{f}" else token for token in argv]
+    got = outcome(capsys, argv)
+    assert got == full_parser_outcome(capsys, monkeypatch, argv)
+    assert got[0] == code
+
+
+def test_known_command_builds_one_subparser(tmp_path, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, *args, **kwargs):
+        built.append(name)
+        return add_parser(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    assert main(["check-fg", str(f), "--order", "a b c"]) == 1
+    assert built == ["check-fg"]
+    built.clear()
+    # a top-level error from the one-command parser still lists every command
+    with pytest.raises(SystemExit):
+        main(["check-fg", str(f), "--pretty"])
+    assert built == ["check-fg"]
+    usage = capsys.readouterr().err
+    assert "unrecognized arguments: --pretty" in usage
+    assert "{" + ",".join(COMMAND_NAMES) + "}" in usage.replace("\n", "").replace(" ", "")
+    built.clear()
+    assert main(["generators", str(f)]) == 0
+    assert built == ["generators"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert built == COMMAND_NAMES and len(built) == 20
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    monkeypatch.setattr(sys, "argv", ["monoideal", "--pretty", "check-fg", str(f)])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": True}
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^monoideal ([a-z-]+)", block, re.M)) == set(COMMAND_NAMES)

@@ -16,6 +16,7 @@ from monoideal.core import (
     all_orderings,
     divides,
     erase,
+    extremal_degree_max,
     format_word,
     internal_letters,
     is_extremal,
@@ -25,6 +26,7 @@ from monoideal.core import (
 )
 from monoideal.cool_orderings import is_cool
 from monoideal.sorted_ideal import (
+    _extremal_scan,
     commutator_leading_words,
     complete_enumeration_bound,
     eps_minimal_generators,
@@ -171,6 +173,52 @@ def test_eps_equals_minimized_generating_set_when_cap_dominates():
         cap = complete_enumeration_bound(members, ord)
         via_fg = minimal_word_generators(fg_generating_set(members, ord))
         assert eps_minimal_generators(members, ord, cap) == via_fg
+
+
+def all_pairs_minimal(S):
+    """Referee: each word compared with every other word of ``S`` no longer than it."""
+    words = sorted(set(S), key=lambda w: (len(w.letters), w.letters))
+    return tuple(
+        w for w in words
+        if not any(v != w and word_is_factor(v, w) for v in words if len(v) <= len(w))
+    )
+
+
+def test_minimal_word_generators_match_all_pairs_filter():
+    from monoideal.crosscheck import antichains
+
+    checked = 0
+    for n, degree in [(3, 2), (3, 3)]:
+        for members in antichains(n, degree):
+            for ord in all_orderings(n):
+                if is_fg_sorted(members, ord).verdict:
+                    gens = fg_generating_set(members, ord)
+                    assert minimal_word_generators(gens) == all_pairs_minimal(gens)
+                    checked += 1
+    assert checked == 14688
+
+
+def test_extremal_scan_matches_per_letter():
+    # the one-pass scan against extremal_degree_max and internal_letters,
+    # and both bounds against their per-letter formulas
+    from monoideal.crosscheck import antichains
+
+    for n, degree in [(3, 3), (4, 2)]:
+        for members in antichains(n, degree):
+            for ord in all_orderings(n):
+                r = [extremal_degree_max(members, x, ord) for x in range(n)]
+                internals = [internal_letters(w, ord) for w in members]
+                assert _extremal_scan(members, ord) == (r, internals)
+                padded = [i for i in internals if i]
+                product = 1
+                for x in set().union(*padded):
+                    product *= r[x]
+                count = len(padded) * product + len(members) - len(padded)
+                assert generator_count_bound(members, ord) == count
+                length = max(
+                    w.degree + sum(r[x] - 1 for x in i) for w, i in zip(members, internals)
+                )
+                assert complete_enumeration_bound(members, ord) == length
 
 
 def test_generator_count_bound():
