@@ -306,34 +306,30 @@ def _check_generating_set_budget(monomials, ordering: Ordering) -> None:
         )
 
 
-def _cmd_generators(args):
+def _word_list_command(args, key: str, words) -> tuple[int, dict]:
+    """Decide finite generation; when it holds and fits the budget, list ``words(M, ord)``."""
     alphabet, monomials, ordering = _load_monomials(args)
     ordering = _require_order(ordering)
     witness = is_fg_sorted(monomials, ordering)
     if not witness.verdict:
         return 1, _witness_payload(witness, alphabet)
     _check_generating_set_budget(monomials, ordering)
-    gens = fg_generating_set(monomials, ordering)
-    if not args.raw:
-        gens = minimal_word_generators(gens)
     return 0, {
         "verdict": True,
-        "generators": [format_word(w, alphabet) for w in sorted_words(gens)],
+        key: [format_word(w, alphabet) for w in words(monomials, ordering)],
     }
+
+
+def _cmd_generators(args):
+    def generators(monomials, ordering):
+        gens = fg_generating_set(monomials, ordering)
+        return sorted_words(gens if args.raw else minimal_word_generators(gens))
+
+    return _word_list_command(args, "generators", generators)
 
 
 def _cmd_gb_lift(args):
-    alphabet, monomials, ordering = _load_monomials(args)
-    ordering = _require_order(ordering)
-    witness = is_fg_sorted(monomials, ordering)
-    if not witness.verdict:
-        return 1, _witness_payload(witness, alphabet)
-    _check_generating_set_budget(monomials, ordering)
-    words = groebner_lift(monomials, ordering)
-    return 0, {
-        "verdict": True,
-        "leading_words": [format_word(w, alphabet) for w in words],
-    }
+    return _word_list_command(args, "leading_words", groebner_lift)
 
 
 def _cmd_is_cool(args):

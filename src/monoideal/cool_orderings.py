@@ -18,9 +18,8 @@ from .core import (
     Monomial,
     MonoidealError,
     Ordering,
+    checked_antichain,
     divides,
-    ensure_antichain,
-    ensure_nonunit,
     erase,
     monomial_set,
     support,
@@ -53,9 +52,7 @@ def all_orderings_cool(M: Sequence[Monomial]) -> bool:
     must contain ``x`` (so ``x`` is extremal in it under any ordering) and
     divide ``m`` once ``x`` is erased: a cover candidate with at most one letter.
     """
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
-    rows = [m.exponents for m in ms]
+    rows = [m.exponents for m in checked_antichain(M)]
     return all(
         any(len(c) <= 1 for c in _cover_supports(rows, w, x))
         for w in rows
@@ -183,8 +180,7 @@ def find_cool_ordering(
     engine (square-free ones are the special case where T is everything).
     Everything else runs the permutation branch-and-bound.
     """
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
+    ms = checked_antichain(M)
     alphabet_size = _alphabet_size(ms, alphabet_size)
     if not ms:
         return CoolSearchResult(True, Ordering.identity(alphabet_size), 0)
@@ -205,6 +201,9 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
         (mi, x): _cover_supports(rows, w, x) for mi, w in enumerate(rows) for x in range(n)
     }
 
+    # Letters held by more members are tried first: they decide the most
+    # (member, letter) pairs once placed.
+    order = sorted(range(n), key=lambda y: (-sum(y in supp for supp in supports), y))
     prefix: list[int] = []
     placed: set[int] = set()
     nodes = 0
@@ -222,14 +221,6 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
                 return False
         return True
 
-    def score(y: int) -> tuple[int, int]:
-        undecided = 0
-        for mi, supp in enumerate(supports):
-            for x in range(n):
-                if x not in placed and (y in supp or y == x):
-                    undecided += 1
-        return (-undecided, y)
-
     best: list[Ordering | None] = [None]
 
     def descend() -> bool:
@@ -237,10 +228,10 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
         if len(prefix) == n:
             best[0] = Ordering.from_sequence(prefix)
             return True
-        for y in sorted((x for x in range(n) if x not in placed), key=score):
+        for y in order:
             # an ordering and its reverse are cool together: keep letter 0
             # in the first half of the positions
-            if y == 0 and 2 * len(prefix) > n - 1:
+            if y in placed or (y == 0 and 2 * len(prefix) > n - 1):
                 continue
             nodes += 1
             prefix.append(y)

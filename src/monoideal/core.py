@@ -248,30 +248,21 @@ def extremal_internal(
     """
     if w.n != ord.n:
         raise AlphabetMismatchError("monomial and ordering sizes differ")
-    supp = support(w)
-    if not supp:
+    ranks = [r for r, e in zip(ord.rank, w.exponents) if e]
+    if not ranks:
         raise UnitMonomialError("the unit monomial has no extremal letters")
-    lo = min(supp, key=lambda x: ord.rank[x])
-    hi = max(supp, key=lambda x: ord.rank[x])
-    internal = frozenset(
-        x for x in range(w.n) if ord.rank[lo] < ord.rank[x] < ord.rank[hi]
-    )
-    return lo, hi, internal
+    lo, hi = min(ranks), max(ranks)
+    seq = ord.sequence()
+    return seq[lo], seq[hi], frozenset(seq[lo + 1 : hi])
 
 
 def internal_letters(w: Monomial, ord: Ordering) -> frozenset[int]:
-    if not support(w):
-        return frozenset()
-    return extremal_internal(w, ord)[2]
+    return frozenset() if w.is_unit else extremal_internal(w, ord)[2]
 
 
 def is_extremal(w: Monomial, x: int, ord: Ordering) -> bool:
     """Whether ``x`` is the smallest or largest support letter of ``w``."""
-    supp = support(w)
-    if x not in supp:
-        return False
-    lo, hi, _ = extremal_internal(w, ord)
-    return x == lo or x == hi
+    return x in support(w) and x in extremal_internal(w, ord)[:2]
 
 
 def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -293,16 +284,22 @@ def is_antichain(M: Iterable[Monomial]) -> bool:
     return True
 
 
-def ensure_antichain(M: Sequence[Monomial], where: str = "") -> tuple[Monomial, ...]:
+def nonunit_set(M: Iterable[Monomial], n: int | None = None) -> tuple[Monomial, ...]:
+    """The distinct members of ``M``: nonunits over one alphabet, of ``n`` letters if given."""
     ms = monomial_set(M)
-    if not is_antichain(ms):
-        raise NotAntichainError(f"{where or 'input'} is not an antichain")
+    if any(m.is_unit for m in ms):
+        raise UnitMonomialError("M contains the unit monomial")
+    if n is not None and ms and ms[0].n != n:
+        raise AlphabetMismatchError("monomial and ordering sizes differ")
     return ms
 
 
-def ensure_nonunit(M: Sequence[Monomial], where: str = "") -> None:
-    if any(m.is_unit for m in M):
-        raise UnitMonomialError(f"{where or 'input'} contains the unit monomial")
+def checked_antichain(M: Iterable[Monomial], n: int | None = None) -> tuple[Monomial, ...]:
+    """:func:`nonunit_set` of ``M``, once ``M`` is known to be an antichain."""
+    ms = monomial_set(M)
+    if not is_antichain(ms):
+        raise NotAntichainError("M is not an antichain")
+    return nonunit_set(ms, n)
 
 
 def antichain_reduce(M: Iterable[Monomial]) -> tuple[Monomial, ...]:

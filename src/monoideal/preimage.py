@@ -15,11 +15,11 @@ from typing import Sequence
 
 from .core import (
     Monomial,
+    checked_antichain,
     divides,
-    ensure_antichain,
-    ensure_nonunit,
     erase,
     monomial_set,
+    sorted_monomials,
     support,
 )
 
@@ -28,10 +28,6 @@ from .core import (
 class PreimageWitness:
     verdict: bool
     violator: tuple[Monomial, int] | None = None
-
-
-def _has_pure_power(M: Sequence[Monomial], z: int) -> bool:
-    return any(support(m) == {z} for m in M)
 
 
 def _pair_members(M: Sequence[Monomial]) -> list[tuple[int, int]]:
@@ -49,20 +45,16 @@ def _pair_members(M: Sequence[Monomial]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _scan(M: Sequence[Monomial]) -> list[Monomial]:
-    return sorted(M, key=lambda m: m.exponents)
-
-
 def preimage_fg(M: Sequence[Monomial]) -> PreimageWitness:
     """Decide finite generation of the preimage ideal (erasure form)."""
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
+    ms = checked_antichain(M)
     pairs = _pair_members(ms)
+    pure = {min(s) for s in map(support, ms) if len(s) == 1}
     n = ms[0].n if ms else 0
-    for m in _scan(ms):
+    for m in sorted_monomials(ms):
         supp_m = support(m)
         for z in range(n):
-            if _has_pure_power(ms, z):
+            if z in pure:
                 continue
             if erase(m, z).degree < 2:
                 continue
@@ -78,10 +70,9 @@ def preimage_fg_pairs(M: Sequence[Monomial]) -> PreimageWitness:
     (``x == y`` allowed) and every third letter ``z``, some member with
     ``z`` erased must divide ``m/x`` or ``m/y``.
     """
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
+    ms = checked_antichain(M)
     n = ms[0].n if ms else 0
-    for m in _scan(ms):
+    for m in sorted_monomials(ms):
         supp_m = sorted(support(m))
         pairs_xy = []
         for x in supp_m:

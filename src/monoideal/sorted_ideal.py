@@ -17,16 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
-    AlphabetMismatchError,
     Monomial,
     NotFinitelyGeneratedError,
     Ordering,
     Word,
+    checked_antichain,
     divides,
-    ensure_antichain,
-    ensure_nonunit,
     extremal_internal,
-    internal_letters,
     monomial_set,
     sigma,
     sorted_words,
@@ -48,9 +45,16 @@ def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
     # The words are compared run by run without being built: a shorter run
     # of a letter comes first when the word ends there, and last when a
     # later letter follows it, so exponents may be arbitrarily large.
-    def key(m: Monomial) -> tuple[tuple[int, int], ...]:
-        runs = [m.exponents[x] for x in ord.sequence()]
-        return tuple((1, -e) if any(runs[i + 1 :]) else (0, e) for i, e in enumerate(runs))
+    seq = ord.sequence()
+
+    def key(m: Monomial) -> list[tuple[int, int]]:
+        out = []
+        ended = True  # no later run is nonzero
+        for x in reversed(seq):
+            e = m.exponents[x]
+            out.append((0, e) if ended else (1, -e))
+            ended = ended and not e
+        return out[::-1]
 
     return sorted(M, key=key)
 
@@ -76,10 +80,7 @@ def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
     every member ``w`` and every letter ``x`` internal to ``w`` some member
     has ``x`` extremal and, with ``x`` erased, divides ``w``.
     """
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
-    if ms and ms[0].n != ord.n:
-        raise AlphabetMismatchError("monomial and ordering sizes differ")
+    ms = checked_antichain(M, ord.n)
     rows = [m.exponents for m in ms]
     seq = ord.sequence()
     for w in _scan_order(ms, ord):
@@ -98,13 +99,11 @@ def fg_generating_set(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
     over products of letters internal to ``w`` and the total degree of each
     internal letter ``x`` stays below the extremal maximum ``r_x(M)``.
     """
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
-    witness = is_fg_sorted(ms, ord)
-    if not witness.verdict:
+    if not is_fg_sorted(M, ord).verdict:
         raise NotFinitelyGeneratedError(
             "the sorted-word ideal is not finitely generated under this ordering"
         )
+    ms = monomial_set(M)
     r, internal_sets = _extremal_scan(ms, ord)
     words: list[Word] = []
     for w, internal in zip(ms, internal_sets):
@@ -165,12 +164,11 @@ def eps_minimal_generators(
     cap dominates the completeness bound, this is the whole minimal
     generating set; otherwise it is the truncation to short words.
     """
-    ms = ensure_antichain(M, "M")
-    ensure_nonunit(ms, "M")
+    ms = checked_antichain(M, ord.n)
     out: list[Word] = []
     for m in ms:
-        lo, hi, _ = extremal_internal(m, ord)
-        internals = sorted(internal_letters(m, ord))
+        lo, hi, internal = extremal_internal(m, ord)
+        internals = sorted(internal)
         budget = length_cap - m.degree
         if budget < 0:
             continue

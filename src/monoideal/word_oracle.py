@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
-    AlphabetMismatchError,
     BudgetExceededError,
     Monomial,
     Ordering,
     Word,
     divides,
-    ensure_nonunit,
-    monomial_set,
+    nonunit_set,
     pi,
     sorted_words,
 )
@@ -69,8 +67,7 @@ def word_in_sorted_ideal(u: Word, M: Sequence[Monomial], ord: Ordering) -> bool:
     candidates worth checking, and within a segment the whole segment is
     the best one.
     """
-    ms = monomial_set(M)
-    ensure_nonunit(ms, "M")
+    ms = nonunit_set(M)
     if not ms:
         return False
     n = ord.n
@@ -83,8 +80,7 @@ def word_in_sorted_ideal(u: Word, M: Sequence[Monomial], ord: Ordering) -> bool:
 
 def word_in_preimage(u: Word, M: Sequence[Monomial]) -> bool:
     """Membership in the full preimage: some member divides the letter counts."""
-    ms = monomial_set(M)
-    ensure_nonunit(ms, "M")
+    ms = nonunit_set(M)
     if not ms:
         return False
     counts = pi(u, ms[0].n)
@@ -181,15 +177,6 @@ def enumerate_minimal_generators(
     )
 
 
-def _exponent_rows(M: Sequence[Monomial], n: int) -> tuple[tuple[int, ...], ...]:
-    """The distinct exponent vectors of M, checked once for the walks."""
-    ms = monomial_set(M)
-    ensure_nonunit(ms, "M")
-    if any(m.n != n for m in ms):
-        raise AlphabetMismatchError("monomial set and alphabet sizes differ")
-    return tuple(m.exponents for m in ms)
-
-
 def _count_walk(
     rows: tuple[tuple[int, ...], ...],
     rank: Sequence[int],
@@ -237,7 +224,7 @@ def sorted_ideal_report(
     budget: int = DEFAULT_MEMBERSHIP_BUDGET,
 ) -> EnumerationReport:
     """Minimal generators of the sorted-word ideal of M, up to length ``cap``."""
-    rows = _exponent_rows(M, ord.n)
+    rows = tuple(m.exponents for m in nonunit_set(M, ord.n))
     if not rows:
         # the empty set generates the empty ideal: no word is a member
         _check_walk(cap, ord.n)
@@ -255,11 +242,11 @@ def preimage_report(
     Membership reads the counts of the whole word, which is one segment
     when every letter has the same rank.
     """
-    ms = monomial_set(M)
+    ms = nonunit_set(M)
     if not ms:
         raise ValueError("preimage enumeration needs a nonempty monomial set")
     n = ms[0].n
-    return _count_walk(_exponent_rows(ms, n), (0,) * n, cap, budget)
+    return _count_walk(tuple(m.exponents for m in ms), (0,) * n, cap, budget)
 
 
 def finiteness_probe(

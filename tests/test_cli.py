@@ -294,6 +294,33 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("letters: a b\norder: a b\na\na b\n", "M is not an antichain"),
+        ("letters: a b\norder: a b\n[0,0]\n", "M contains the unit monomial"),
+    ],
+    ids=["non-antichain", "unit"],
+)
+@pytest.mark.parametrize(
+    "command",
+    ["check-fg", "generators", "gb-lift", "is-cool", "find-cool", "all-cool", "preimage-fg"],
+)
+def test_cli_refuses_sets_outside_the_criterion(tmp_path, capsys, command, text, message):
+    f = tmp_path / "m.mon"
+    f.write_text(text)
+    assert run(capsys, command, str(f)) == (2, {"error": message})
+
+
+@pytest.mark.parametrize("target", ["sorted", "preimage"])
+def test_cli_oracle_accepts_a_non_antichain(tmp_path, capsys, target):
+    # the word ideals are defined for any set of nonunits
+    f = tmp_path / "m.mon"
+    f.write_text("letters: a b\norder: a b\na\na b\n")
+    code, payload = run(capsys, "oracle", str(f), "--target", target, "--cap", "3")
+    assert code == 0 and payload["minimal_generators"] == ["a"]
+
+
 def test_cli_budget_exceeded(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MONOIDEAL_BUDGET", "10")
     f = tmp_path / "m.mon"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from monoideal.core import (
     ExponentOverflowError,
     Monomial,
     MonoidealError,
+    NotAntichainError,
     Ordering,
     UnitMonomialError,
     Word,
@@ -26,6 +28,16 @@ from monoideal.core import (
     sort_word,
     support,
     word_is_factor,
+)
+
+from monoideal.cool_orderings import all_orderings_cool, find_cool_ordering
+from monoideal.preimage import preimage_fg, preimage_fg_pairs
+from monoideal.sorted_ideal import eps_minimal_generators, fg_generating_set, is_fg_sorted
+from monoideal.word_oracle import (
+    preimage_report,
+    sorted_ideal_report,
+    word_in_preimage,
+    word_in_sorted_ideal,
 )
 
 from conftest import M, W, brute_minimal_under_division
@@ -211,3 +223,71 @@ def test_divisor_lemma(b, data, x, ord):
     ux = sort_word(Word(u.letters + (x,)), ord)
     vx = sort_word(Word(v.letters + (x,)), ord)
     assert word_is_factor(u, vx) or word_is_factor(ux, vx)
+
+
+# ---------------------------------------------------------------------------
+# the one entry check of every decision on a monomial set
+
+I2, I3 = Ordering.identity(2), Ordering.identity(3)
+SIZES_DIFFER = (AlphabetMismatchError, "monomial and ordering sizes differ")
+# name: (call with a fitting ordering or alphabet, call with one of the wrong
+# size and its error, or None, whether M must be an antichain)
+ENTRIES = {
+    "is_fg_sorted": (
+        lambda ms: is_fg_sorted(ms, I2), (lambda ms: is_fg_sorted(ms, I3), SIZES_DIFFER), True),
+    "fg_generating_set": (
+        lambda ms: fg_generating_set(ms, I2),
+        (lambda ms: fg_generating_set(ms, I3), SIZES_DIFFER), True),
+    "eps_minimal_generators": (
+        lambda ms: eps_minimal_generators(ms, I2, 4),
+        (lambda ms: eps_minimal_generators(ms, I3, 4), SIZES_DIFFER), True),
+    "all_orderings_cool": (all_orderings_cool, None, True),
+    "find_cool_ordering": (
+        lambda ms: find_cool_ordering(ms, 2),
+        (lambda ms: find_cool_ordering(ms, 3),
+         (MonoidealError, "alphabet size does not match the monomials")), True),
+    "preimage_fg": (preimage_fg, None, True),
+    "preimage_fg_pairs": (preimage_fg_pairs, None, True),
+    "word_in_sorted_ideal": (
+        lambda ms: word_in_sorted_ideal(Word((0, 1)), ms, I2),
+        (lambda ms: word_in_sorted_ideal(Word((0, 1)), ms, I3),
+         (AlphabetMismatchError, "monomials live over different alphabets")), False),
+    "word_in_preimage": (
+        lambda ms: word_in_preimage(Word((0, 1)), ms),
+        (lambda ms: word_in_preimage(Word((0, 2)), ms),
+         (MonoidealError, "letter index 2 out of range for 2 letters")), False),
+    "sorted_ideal_report": (
+        lambda ms: sorted_ideal_report(ms, I2, 3),
+        (lambda ms: sorted_ideal_report(ms, I3, 3), SIZES_DIFFER), False),
+    "preimage_report": (lambda ms: preimage_report(ms, 3), None, False),
+}
+NOT_ANTICHAIN = (NotAntichainError, "M is not an antichain")
+UNIT = (UnitMonomialError, "M contains the unit monomial")
+
+
+def _raises(call, expected):
+    error, message = expected
+    with pytest.raises(MonoidealError, match=re.escape(message)) as info:
+        call()
+    assert info.type is error
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_every_entry_checks_its_set(name):
+    call, wrong_size, antichain = ENTRIES[name]
+    call(M((1, 1)))  # a valid set passes
+    if antichain:
+        _raises(lambda: call(M((1, 0), (1, 1))), NOT_ANTICHAIN)
+        # the unit divides every other member, so the antichain test fires first
+        _raises(lambda: call(M((0, 0), (1, 1))), NOT_ANTICHAIN)
+    else:
+        call(M((1, 0), (1, 1)))  # word ideals are defined for any set of nonunits
+        _raises(lambda: call(M((0, 0), (1, 1))), UNIT)
+    _raises(lambda: call(M((0, 0))), UNIT)
+    _raises(
+        lambda: call(M((1, 0), (0, 1, 1))),
+        (AlphabetMismatchError, "monomial set mixes alphabet sizes"),
+    )
+    if wrong_size is not None:
+        wrong_call, error = wrong_size
+        _raises(lambda: wrong_call(M((1, 1))), error)

@@ -198,17 +198,36 @@ def test_minimal_word_generators_match_all_pairs_filter():
     assert checked == 14688
 
 
+def referee_extremal_internal(members, ord):
+    """r_x(M) for every letter and each member's internal letters, read off
+    the sorted words: the first and last letters of sigma(w) are extremal,
+    and the letters ranked strictly between them are internal."""
+    r = [0] * ord.n
+    internals = []
+    for w in members:
+        word = sigma(w, ord).letters
+        first, last = word[0], word[-1]
+        for x in (first, last):
+            r[x] = max(r[x], w.exponents[x])
+        internals.append(
+            frozenset(x for x in range(ord.n) if ord.rank[first] < ord.rank[x] < ord.rank[last])
+        )
+    return r, internals
+
+
 def test_extremal_scan_matches_per_letter():
-    # the one-pass scan against extremal_degree_max and internal_letters,
-    # and both bounds against their per-letter formulas
+    # the one-pass scan and the per-letter helpers, which all read
+    # extremal_internal, against a referee on sorted words; both bounds
+    # against their per-letter formulas
     from monoideal.crosscheck import antichains
 
     for n, degree in [(3, 3), (4, 2)]:
         for members in antichains(n, degree):
             for ord in all_orderings(n):
-                r = [extremal_degree_max(members, x, ord) for x in range(n)]
-                internals = [internal_letters(w, ord) for w in members]
+                r, internals = referee_extremal_internal(members, ord)
                 assert _extremal_scan(members, ord) == (r, internals)
+                assert [extremal_degree_max(members, x, ord) for x in range(n)] == r
+                assert [internal_letters(w, ord) for w in members] == internals
                 padded = [i for i in internals if i]
                 product = 1
                 for x in set().union(*padded):
