@@ -12,6 +12,7 @@ induces the sorting section ``sigma`` of the abelianization map ``pi``:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
@@ -166,8 +167,15 @@ class Ordering:
     rank: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.rank) != list(range(len(self.rank))):
-            raise MonoidealError("ordering rank must be a permutation of 0..n-1")
+        seq = [-1] * len(self.rank)
+        for letter, pos in enumerate(self.rank):
+            if not isinstance(pos, int) or isinstance(pos, bool):
+                raise MonoidealError(f"ordering rank entry {pos!r} is not an integer")
+            if not 0 <= pos < len(seq) or seq[pos] != -1:
+                raise MonoidealError("ordering rank must be a permutation of 0..n-1")
+            seq[pos] = letter
+        # not a field, so repr, == and hash still read the rank alone
+        object.__setattr__(self, "_sequence", tuple(seq))
 
     @property
     def n(self) -> int:
@@ -175,10 +183,7 @@ class Ordering:
 
     def sequence(self) -> tuple[int, ...]:
         """Letters listed from smallest to largest."""
-        seq = [0] * self.n
-        for letter, pos in enumerate(self.rank):
-            seq[pos] = letter
-        return tuple(seq)
+        return self._sequence
 
     def precedes(self, x: int, y: int) -> bool:
         return self.rank[x] < self.rank[y]
@@ -276,30 +281,50 @@ def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return out
 
 
+def _is_antichain_rows(rows: Sequence[tuple[int, ...]]) -> bool:
+    """Whether no exponent row divides another; the rows are distinct and equally long.
+
+    Two distinct rows of equal degree never divide each other, so each row
+    is compared only with the rows of strictly smaller degree.
+    """
+    rows = sorted(rows, key=sum)
+    degrees = list(map(sum, rows))
+    return not any(
+        all(map(le, u, v))
+        for d, v in zip(degrees, rows)
+        for u in rows[: bisect_left(degrees, d)]
+    )
+
+
+def _check_nonunit_rows(rows: Sequence[tuple[int, ...]], n: int | None) -> None:
+    if not all(map(any, rows)):
+        raise UnitMonomialError("M contains the unit monomial")
+    if n is not None and rows and len(rows[0]) != n:
+        raise AlphabetMismatchError("monomial and ordering sizes differ")
+
+
 def is_antichain(M: Iterable[Monomial]) -> bool:
-    rows = [m.exponents for m in monomial_set(M)]
-    for u, v in itertools.combinations(rows, 2):
-        if all(map(le, u, v)) or all(map(le, v, u)):
-            return False
-    return True
+    return _is_antichain_rows([m.exponents for m in monomial_set(M)])
 
 
 def nonunit_set(M: Iterable[Monomial], n: int | None = None) -> tuple[Monomial, ...]:
     """The distinct members of ``M``: nonunits over one alphabet, of ``n`` letters if given."""
     ms = monomial_set(M)
-    if any(m.is_unit for m in ms):
-        raise UnitMonomialError("M contains the unit monomial")
-    if n is not None and ms and ms[0].n != n:
-        raise AlphabetMismatchError("monomial and ordering sizes differ")
+    _check_nonunit_rows([m.exponents for m in ms], n)
     return ms
 
 
 def checked_antichain(M: Iterable[Monomial], n: int | None = None) -> tuple[Monomial, ...]:
-    """:func:`nonunit_set` of ``M``, once ``M`` is known to be an antichain."""
+    """:func:`nonunit_set` of ``M``, once ``M`` is known to be an antichain.
+
+    A unit beside other members divides them, so it fails the antichain test.
+    """
     ms = monomial_set(M)
-    if not is_antichain(ms):
+    rows = [m.exponents for m in ms]
+    if not _is_antichain_rows(rows):
         raise NotAntichainError("M is not an antichain")
-    return nonunit_set(ms, n)
+    _check_nonunit_rows(rows, n)
+    return ms
 
 
 def antichain_reduce(M: Iterable[Monomial]) -> tuple[Monomial, ...]:

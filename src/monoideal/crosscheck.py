@@ -58,10 +58,19 @@ def antichains(n: int, max_total_degree: int) -> Iterable[tuple[Monomial, ...]]:
 
 
 def _least_relabeling(rows: Sequence[tuple], n: int) -> tuple:
-    """Least sorted image of the rows over all permutations of their n columns."""
-    return min(
-        tuple(sorted(tuple(map(row.__getitem__, perm)) for row in rows))
-        for perm in itertools.permutations(range(n))
+    """Least sorted image of the rows over all permutations of their n columns.
+
+    The rows are transposed once; each permutation then rebuilds its rows
+    from the permuted columns in one ``zip``.
+    """
+    if not (rows and n):
+        return ((),) * len(rows)
+    cols = list(zip(*rows))
+    return tuple(
+        min(
+            sorted(zip(*map(cols.__getitem__, perm)))
+            for perm in itertools.permutations(range(n))
+        )
     )
 
 

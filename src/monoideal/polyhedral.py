@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -286,28 +286,38 @@ def _fourier_motzkin_feasible(
     return all(rhs >= 0 for _, rhs in cons)
 
 
+def _hull_test(rows: Sequence[tuple[int, ...]]) -> Callable[[Sequence[int]], bool]:
+    """Whether a point dominates a convex combination of the rows.
+
+    The constraints that do not depend on the point are built once; each
+    test adds only the right-hand sides of the per-column constraints.
+    """
+    last = rows[-1]
+    # variables lam_0..lam_{k-2}; lam_{k-1} = 1 - sum of the others
+    nv = len(rows) - 1
+    fixed: list[tuple[list[int], int]] = []
+    for i in range(nv):
+        coeffs = [0] * nv
+        coeffs[i] = -1
+        fixed.append((coeffs, 0))  # lam_i >= 0
+    fixed.append(([1] * nv, 1))  # lam_last >= 0
+    columns = [[row[j] - last[j] for row in rows[:nv]] for j in range(len(last))]
+
+    def test(x: Sequence[int]) -> bool:
+        cons = fixed + [(c, xj - lj) for c, xj, lj in zip(columns, x, last)]
+        return _fourier_motzkin_feasible(cons, nv)
+
+    return test
+
+
 def in_hull_plus_orthant(M: Sequence[Monomial], x: Sequence[int]) -> bool:
     """Whether x dominates a convex combination of the members of M."""
     ms = monomial_set(M)
     if not ms:
         return False
-    n = ms[0].n
-    if len(x) != n:
+    if len(x) != ms[0].n:
         raise MonoidealError("vector length does not match the alphabet")
-    k = len(ms)
-    last = ms[-1].exponents
-    # variables lam_0..lam_{k-2}; lam_{k-1} = 1 - sum of the others
-    nv = k - 1
-    cons: list[tuple[list[int], int]] = []
-    for i in range(nv):
-        coeffs = [0] * nv
-        coeffs[i] = -1
-        cons.append((coeffs, 0))  # lam_i >= 0
-    cons.append(([1] * nv, 1))  # lam_last >= 0
-    for j in range(n):
-        coeffs = [ms[i].exponents[j] - last[j] for i in range(nv)]
-        cons.append((coeffs, x[j] - last[j]))
-    return _fourier_motzkin_feasible(cons, nv)
+    return _hull_test([m.exponents for m in ms])(x)
 
 
 def convexity_check(
@@ -326,11 +336,12 @@ def convexity_check(
     top = max(m.degree for m in ms) + 1
     _check_box(top, n, budget)
     exponents = [m.exponents for m in ms]
+    in_hull = _hull_test(exponents)
     for point in itertools.product(range(top + 1), repeat=n):
         # a point of the ideal is never a counterexample
         if any(all(p >= e for p, e in zip(point, ex)) for ex in exponents):
             continue
-        if in_hull_plus_orthant(ms, point):
+        if in_hull(point):
             return False
     return True
 

@@ -13,7 +13,9 @@ rule is one tuple kernel, ``_cover_supports``, shared with ``cool_orderings``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Sequence
 
 from .core import (
@@ -61,10 +63,12 @@ def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
 
 def _cover_supports(rows: Sequence[tuple], w: tuple, x: int) -> list[frozenset[int]]:
     """``supp(s) - {x}`` for each exponent row ``s`` holding ``x`` with ``erase(s, x) | w``."""
+    # erase(s, x) | w exactly when s | w with the entry of x raised past every exponent
+    cap = w[:x] + (math.inf,) + w[x + 1 :]
     return [
-        frozenset(i for i, e in enumerate(s) if e and i != x)
+        frozenset(itertools.compress(range(len(s)), s)) - {x}
         for s in rows
-        if s[x] and all(a <= b or i == x for i, (a, b) in enumerate(zip(s, w)))
+        if s[x] and all(map(le, s, cap))
     ]
 
 

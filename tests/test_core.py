@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -16,13 +17,16 @@ from monoideal.core import (
     UnitMonomialError,
     Word,
     antichain_reduce,
+    checked_antichain,
     divides,
     erase,
     extremal_degree_max,
     extremal_internal,
     format_monomial,
     format_word,
+    is_antichain,
     monomial_set,
+    nonunit_set,
     pi,
     sigma,
     sort_word,
@@ -167,8 +171,14 @@ def test_ordering_basics():
     assert o.sequence() == (1, 0, 2)
     assert o.precedes(1, 0)
     assert o.reversed().sequence() == (2, 0, 1)
+    # the sequence is kept on the ordering but is not a field
+    assert repr(o) == "Ordering(rank=(1, 0, 2))"
+    assert o == Ordering((1, 0, 2)) and hash(o) == hash(Ordering((1, 0, 2)))
     with pytest.raises(MonoidealError):
         Ordering((0, 0, 1))
+    for rank in [(0.0, 1), (1, 0.0), (True, 0), (0, "1")]:
+        with pytest.raises(MonoidealError, match="is not an integer"):
+            Ordering(rank)
 
 
 def test_formatting():
@@ -291,3 +301,67 @@ def test_every_entry_checks_its_set(name):
     if wrong_size is not None:
         wrong_call, error = wrong_size
         _raises(lambda: wrong_call(M((1, 1))), error)
+
+
+
+def _pairwise_antichain(members):
+    """Referee of ``is_antichain``: ``divides`` on every pair of distinct members."""
+    if len({m.n for m in members}) > 1:
+        raise AlphabetMismatchError("monomial set mixes alphabet sizes")
+    return not any(a != b and divides(a, b) for a in members for b in members)
+
+
+def _checked_set_referee(members, n, antichain):
+    """The antichain test if asked for, then the unit, then the size."""
+    pairwise = _pairwise_antichain(members)  # mixed alphabets fail first
+    if antichain and not pairwise:
+        raise NotAntichainError("M is not an antichain")
+    distinct = tuple(dict.fromkeys(members))
+    if any(all(e == 0 for e in m.exponents) for m in distinct):
+        raise UnitMonomialError("M contains the unit monomial")
+    if n is not None and distinct and distinct[0].n != n:
+        raise AlphabetMismatchError("monomial and ordering sizes differ")
+    return distinct
+
+
+def _outcome(call):
+    try:
+        return call()
+    except MonoidealError as error:
+        return type(error), str(error)
+
+
+def _random_member_sets(rng):
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        top = rng.randint(1, 3)
+        members = [
+            Monomial(tuple(rng.randint(0, top) for _ in range(n)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if rng.random() < 0.3:  # every member of one degree
+            degree = rng.randint(1, 3)
+            members = [m for m in members if m.degree == degree] or members[:1]
+        members += rng.sample(members, rng.randint(0, len(members)))  # duplicates
+        rng.shuffle(members)
+        yield tuple(members)
+    yield ()
+    yield M((0, 0))
+    yield M((0, 0), (0, 0))
+    yield M((0, 0), (1, 2))
+    yield M((2, 0), (0, 0), (0, 2))
+    yield M((1, 0), (0, 1, 1))
+    yield M((0, 0), (0, 0, 1))
+
+
+def test_set_checks_match_the_pairwise_referee():
+    for members in _random_member_sets(random.Random(7)):
+        assert _outcome(lambda: is_antichain(members)) == _outcome(
+            lambda: _pairwise_antichain(members)
+        ), members
+        width = members[0].n if members else 1
+        for n in (None, width, width + 1):
+            for entry, antichain in ((checked_antichain, True), (nonunit_set, False)):
+                got = _outcome(lambda: entry(members, n))
+                want = _outcome(lambda: _checked_set_referee(members, n, antichain))
+                assert got == want, (entry.__name__, members, n)

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from monoideal.core import Monomial
 from monoideal.crosscheck import (
     _clause_canonical,
+    _least_relabeling,
     antichains,
     permutation_canonical,
     representative_antichains,
@@ -72,3 +74,32 @@ def test_clause_canonical_renaming_and_signs():
     nae_flipped = NaeInstance(3, ((1, -2, 3), (-2, -2, -3)))
     assert _clause_canonical(nae) == _clause_canonical(nae_renamed)
     assert _clause_canonical(nae) != _clause_canonical(nae_flipped)
+
+
+def _least_relabeling_by_rows(rows, n):
+    """Referee: the per-row canonicalizer, one ``map`` per row and permutation."""
+    return min(
+        tuple(sorted(tuple(map(row.__getitem__, perm)) for row in rows))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _random_rows(rng, width, entry):
+    rows = [tuple(entry() for _ in range(width)) for _ in range(rng.randint(1, 6))]
+    # repeat some rows, so duplicates reach the canonicalizer
+    return rows + rng.sample(rows, rng.randint(0, len(rows)))
+
+
+def test_column_canonicalizer_matches_the_per_row_referee():
+    rng = random.Random(20031)
+    exponent = lambda: rng.randint(0, 2)
+    # a clause row holds the (positive, negative) occurrence counts per variable
+    occurrences = lambda: (rng.randint(0, 2), rng.randint(0, 1))
+    cases = [([], n) for n in range(4)] + [([()] * k, 0) for k in range(4)]
+    for n in range(1, 7):
+        repeats = 40 if n < 6 else 6
+        cases += [(_random_rows(rng, n, exponent), n) for _ in range(repeats)]
+        cases += [(_random_rows(rng, n, occurrences), n) for _ in range(repeats // 2)]
+    for rows, n in cases:
+        assert _least_relabeling(rows, n) == _least_relabeling_by_rows(rows, n), (rows, n)
+
