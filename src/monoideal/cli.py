@@ -8,6 +8,7 @@ budget exceeded.  All machine output is a single JSON object on stdout;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -45,10 +46,8 @@ from .polyhedral import (
 )
 from .preimage import preimage_degree_bounds, preimage_fg
 from .sorted_ideal import (
-    complete_enumeration_bound,
-    fg_generating_set,
-    generator_count_bound,
-    groebner_lift,
+    _generating_set,
+    _lift,
     is_fg_sorted,
     minimal_word_generators,
 )
@@ -293,43 +292,30 @@ def _cmd_check_fg(args):
     return (0 if witness.verdict else 1), _witness_payload(witness, alphabet)
 
 
-def _check_generating_set_budget(monomials, ordering: Ordering) -> None:
-    # the count bound times the length bound caps the letters the raw
-    # generating set holds; refuse before enumerating it
-    letters = generator_count_bound(monomials, ordering) * complete_enumeration_bound(
-        monomials, ordering
-    )
-    budget = _budget(10_000_000)
-    if letters > budget:
-        raise BudgetExceededError(
-            f"the generating set may hold up to {letters} letters, past the budget of {budget}"
-        )
-
-
 def _word_list_command(args, key: str, words) -> tuple[int, dict]:
-    """Decide finite generation; when it holds and fits the budget, list ``words(M, ord)``."""
+    """Decide finite generation; when it holds and fits the budget, list
+    ``words(gens, ord)`` for the generating set ``gens``."""
     alphabet, monomials, ordering = _load_monomials(args)
     ordering = _require_order(ordering)
     witness = is_fg_sorted(monomials, ordering)
     if not witness.verdict:
         return 1, _witness_payload(witness, alphabet)
-    _check_generating_set_budget(monomials, ordering)
+    gens = _generating_set(monomials, ordering, _budget(10_000_000))
     return 0, {
         "verdict": True,
-        key: [format_word(w, alphabet) for w in words(monomials, ordering)],
+        key: [format_word(w, alphabet) for w in words(gens, ordering)],
     }
 
 
 def _cmd_generators(args):
-    def generators(monomials, ordering):
-        gens = fg_generating_set(monomials, ordering)
+    def generators(gens, ordering):
         return sorted_words(gens if args.raw else minimal_word_generators(gens))
 
     return _word_list_command(args, "generators", generators)
 
 
 def _cmd_gb_lift(args):
-    return _word_list_command(args, "leading_words", groebner_lift)
+    return _word_list_command(args, "leading_words", _lift)
 
 
 def _cmd_is_cool(args):
@@ -548,6 +534,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# Parsers hold argparse configuration only, and ``parse_args`` returns a new
+# namespace on every call, so one parser per command serves every call of a
+# process.  ``build_parser`` itself still returns a new parser each time.
+_parser = functools.cache(build_parser)
+
+
 def _requested_command(argv: Sequence[str]) -> str | None:
     """The command of ``[--pretty ...] <command> ...``, else None.
 
@@ -566,7 +558,7 @@ def _requested_command(argv: Sequence[str]) -> str | None:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(_requested_command(argv)).parse_args(argv)
+    args = _parser(_requested_command(argv)).parse_args(argv)
     try:
         code, payload = args.handler(args)
     except ParseError as exc:

@@ -12,6 +12,7 @@ induces the sorting section ``sigma`` of the abelianization map ``pi``:
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import le
@@ -144,7 +145,12 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        for x in self.letters:
+        # plain ints with a nonnegative minimum pass in C; the loop names the
+        # first bad letter, and accepts int subclasses other than bool
+        letters = self.letters
+        if set(map(type, letters)) <= {int} and min(letters, default=0) >= 0:
+            return
+        for x in letters:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise MonoidealError(f"invalid letter index {x!r}")
 
@@ -361,20 +367,42 @@ def sort_word(u: Word, ord: Ordering) -> Word:
     return sigma(pi(u, ord.n), ord)
 
 
+# characters a str can hold; a word set with more distinct letters takes two per letter
+_CHARS = sys.maxunicode + 1
+
+
+def _letter_strings(words: Sequence[Word]) -> list[str]:
+    """Each word as a string, so that one word is a factor of another exactly
+    when its string is a substring of the other's.
+
+    The distinct letters are relabeled ``chr(0), chr(1), ...``, whatever the
+    size of their indices.  Past ``_CHARS`` of them, each letter takes a high
+    character and then a low one; a high character starts every code, so a
+    substring match starts at a letter.
+    """
+    letters = set().union(*(w.letters for w in words))
+    if len(letters) <= _CHARS:
+        codes = map(chr, range(len(letters)))
+    else:
+        half = _CHARS // 2
+        codes = (chr(half + i // half) + chr(i % half) for i in range(len(letters)))
+    code = dict(zip(letters, codes))
+    return ["".join(map(code.__getitem__, w.letters)) for w in words]
+
+
 def word_is_factor(u: Word, v: Word) -> bool:
     """Whether ``u`` occurs as a contiguous block of ``v``."""
-    a, b = u.letters, v.letters
-    if not a:
-        return True
-    la = len(a)
-    return any(b[i : i + la] == a for i in range(len(b) - la + 1))
+    a, b = _letter_strings((u, v))
+    return a in b
 
 
 def extremal_degree_max(M: Iterable[Monomial], x: int, ord: Ordering) -> int:
     """Largest degree with which ``x`` occurs as an extremal letter in ``M``."""
+    _check_letter(x, ord.n)
     best = 0
     for w in monomial_set(M):
-        _check_letter(x, w.n)
+        if w.n != ord.n:
+            raise AlphabetMismatchError("monomial and ordering sizes differ")
         if is_extremal(w, x, ord) and w.exponents[x] > best:
             best = w.exponents[x]
     return best

@@ -19,17 +19,18 @@ from operator import le
 from typing import Iterable, Sequence
 
 from .core import (
+    BudgetExceededError,
     Monomial,
     NotFinitelyGeneratedError,
     Ordering,
     Word,
+    _letter_strings,
     checked_antichain,
     divides,
     extremal_internal,
     monomial_set,
     sigma,
     sorted_words,
-    word_is_factor,
 )
 
 
@@ -107,8 +108,26 @@ def fg_generating_set(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
         raise NotFinitelyGeneratedError(
             "the sorted-word ideal is not finitely generated under this ordering"
         )
-    ms = monomial_set(M)
+    return _generating_set(monomial_set(M), ord)
+
+
+def _generating_set(
+    ms: Sequence[Monomial], ord: Ordering, max_letters: int | None = None
+) -> tuple[Word, ...]:
+    """:func:`fg_generating_set` of distinct members already known to pass :func:`is_fg_sorted`.
+
+    With ``max_letters``, a set whose bound on the letters it may hold
+    (:func:`generator_count_bound` times :func:`complete_enumeration_bound`)
+    exceeds it is refused before it is enumerated.
+    """
     r, internal_sets = _extremal_scan(ms, ord)
+    if max_letters is not None:
+        letters = _count_bound(ms, r, internal_sets) * _length_bound(ms, r, internal_sets)
+        if letters > max_letters:
+            raise BudgetExceededError(
+                f"the generating set may hold up to {letters} letters, "
+                f"past the budget of {max_letters}"
+            )
     words: list[Word] = []
     for w, internal in zip(ms, internal_sets):
         internals = sorted(internal)
@@ -128,10 +147,13 @@ def minimal_word_generators(S: Iterable[Word]) -> tuple[Word, ...]:
     words kept so far only: a proper factor is shorter, and when it is not
     kept it has a kept factor of its own, which is then a factor of the word.
     """
+    words = sorted(set(S), key=lambda w: (len(w.letters), w.letters))
     out: list[Word] = []
-    for w in sorted(set(S), key=lambda w: (len(w.letters), w.letters)):
-        if not any(len(v) < len(w) and word_is_factor(v, w) for v in out):
+    kept: list[str] = []
+    for w, text in zip(words, _letter_strings(words)):
+        if not any(len(k) < len(text) and k in text for k in kept):
             out.append(w)
+            kept.append(text)
     return tuple(out)
 
 
@@ -206,7 +228,12 @@ def _bounded_vectors(k: int, total: int):
 def generator_count_bound(M: Sequence[Monomial], ord: Ordering) -> int:
     """Upper bound on the number of generators when the ideal is finite."""
     ms = monomial_set(M)
-    r, internals = _extremal_scan(ms, ord)
+    return _count_bound(ms, *_extremal_scan(ms, ord))
+
+
+def _count_bound(
+    ms: Sequence[Monomial], r: Sequence[int], internals: Sequence[frozenset[int]]
+) -> int:
     with_internal = [i for i in internals if i]
     product = 1
     for x in set().union(*with_internal):
@@ -254,8 +281,12 @@ def groebner_lift(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
     the sorted-word ideal.  Defined exactly when the sorted-word ideal is
     finitely generated.
     """
-    gens = minimal_word_generators(fg_generating_set(M, ord)) if M else ()
-    return sorted_words(commutator_leading_words(ord) + tuple(gens))
+    return _lift(fg_generating_set(M, ord) if M else (), ord)
+
+
+def _lift(gens: Iterable[Word], ord: Ordering) -> tuple[Word, ...]:
+    """:func:`groebner_lift` from the generating set ``gens`` of the sorted-word ideal."""
+    return sorted_words(commutator_leading_words(ord) + minimal_word_generators(gens))
 
 
 def complete_enumeration_bound(M: Sequence[Monomial], ord: Ordering) -> int:
@@ -269,7 +300,12 @@ def complete_enumeration_bound(M: Sequence[Monomial], ord: Ordering) -> int:
     and the maximum of the right-hand side over ``w`` bounds all of them.
     """
     ms = monomial_set(M)
-    r, internals = _extremal_scan(ms, ord)
+    return _length_bound(ms, *_extremal_scan(ms, ord))
+
+
+def _length_bound(
+    ms: Sequence[Monomial], r: Sequence[int], internals: Sequence[frozenset[int]]
+) -> int:
     best = 0
     for w, internal in zip(ms, internals):
         total = w.degree
@@ -277,5 +313,3 @@ def complete_enumeration_bound(M: Sequence[Monomial], ord: Ordering) -> int:
             total += r[x] - 1
         best = max(best, total)
     return best
-
-

@@ -2,11 +2,12 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from monoideal import cli
+from monoideal import cli, sorted_ideal
 from monoideal.cli import (
     COMMANDS,
     main,
@@ -118,6 +119,34 @@ def test_cli_generators_and_lift(tmp_path, capsys):
     assert set(payload["leading_words"]) == {
         "a b", "c b", "c a", "b a^3", "b^2 a c", "b^2 a^2 c"
     }
+
+
+def test_cli_word_lists_decide_finite_generation_once(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((cli, "is_fg_sorted"), (sorted_ideal, "is_fg_sorted"),
+                         (sorted_ideal, "_extremal_scan")):
+        counting(module, name)
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    for argv, key, words in (
+        (["generators", str(f)], "generators", ["b a^3", "b^2 a c", "b^2 a^2 c"]),
+        (["generators", str(f), "--raw"], "generators", ["b a^3", "b^2 a c", "b^2 a^2 c"]),
+        (["gb-lift", str(f)], "leading_words",
+         ["a b", "c a", "c b", "b a^3", "b^2 a c", "b^2 a^2 c"]),
+    ):
+        calls.clear()
+        assert run(capsys, *argv) == (0, {"verdict": True, key: words})
+        assert calls == {"is_fg_sorted": 1, "_extremal_scan": 1}, argv
 
 
 def test_cli_cool_commands(tmp_path, capsys):
@@ -397,18 +426,17 @@ def outcome(capsys, argv):
     return code, out, err
 
 
-def full_parser_outcome(capsys, monkeypatch, argv):
-    """The same call with the parser of every command, whatever ``main`` asks for."""
-    full = cli.build_parser
+def fresh_parser_outcome(capsys, monkeypatch, argv, full=True):
+    """The same call with a newly built parser: of every command, or of the one ``main`` asks for."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", lambda command=None: full())
+        patch.setattr(cli, "_parser", lambda command: cli.build_parser(None if full else command))
         return outcome(capsys, argv)
 
 
 @pytest.mark.parametrize("command", COMMAND_NAMES)
 def test_command_help_matches_full_parser(capsys, monkeypatch, command):
     got = outcome(capsys, [command, "-h"])
-    assert got == full_parser_outcome(capsys, monkeypatch, [command, "-h"])
+    assert got == fresh_parser_outcome(capsys, monkeypatch, [command, "-h"])
     assert got[0] == 0 and f"usage: monoideal {command}" in got[1]
 
 
@@ -435,11 +463,12 @@ def test_usage_matches_full_parser(tmp_path, capsys, monkeypatch, argv, code):
     f.write_text(EXAMPLE)
     argv = [str(f) if token == "{f}" else token for token in argv]
     got = outcome(capsys, argv)
-    assert got == full_parser_outcome(capsys, monkeypatch, argv)
+    assert got == fresh_parser_outcome(capsys, monkeypatch, argv)
     assert got[0] == code
 
 
 def test_known_command_builds_one_subparser(tmp_path, capsys, monkeypatch):
+    cli._parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -453,10 +482,11 @@ def test_known_command_builds_one_subparser(tmp_path, capsys, monkeypatch):
     assert main(["check-fg", str(f), "--order", "a b c"]) == 1
     assert built == ["check-fg"]
     built.clear()
-    # a top-level error from the one-command parser still lists every command
+    # a repeated command reuses its parser; a top-level error from the
+    # one-command parser still lists every command
     with pytest.raises(SystemExit):
         main(["check-fg", str(f), "--pretty"])
-    assert built == ["check-fg"]
+    assert built == []
     usage = capsys.readouterr().err
     assert "unrecognized arguments: --pretty" in usage
     assert "{" + ",".join(COMMAND_NAMES) + "}" in usage.replace("\n", "").replace(" ", "")
@@ -467,7 +497,43 @@ def test_known_command_builds_one_subparser(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["-h"])
     assert built == COMMAND_NAMES and len(built) == 20
+    built.clear()
+    assert main(["check-fg", str(f)]) == 0
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert built == []
     capsys.readouterr()
+
+
+def test_cached_parsers_leak_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    f = str(f)
+    sequence = [
+        ["generators", f, "--raw"], ["generators", f],
+        ["--pretty", "check-fg", f], ["check-fg", f],
+        ["check-fg", f, "--order"], ["check-fg", f, "--order", "a b c"],
+        ["nope"], ["gb-lift", f],
+        ["oracle", f, "--target", "sorted", "--cap", "4"],
+        ["oracle", f, "--target", "preimage", "--cap", "4"],
+    ]
+    for argv in sequence:
+        got = outcome(capsys, argv)
+        assert got == fresh_parser_outcome(capsys, monkeypatch, argv, full=False), argv
+    assert [outcome(capsys, argv)[0] for argv in sequence] == [0, 0, 0, 0, 2, 1, 2, 0, 0, 0]
+    # help text is laid out for the terminal width at the time of the call
+    for columns in ("200", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["check-fg", "-h"], ["-h"], ["check-fg"]):
+            assert outcome(capsys, argv) == fresh_parser_outcome(capsys, monkeypatch, argv)
+
+
+def test_no_argument_spec_has_a_mutable_default():
+    # the parsers are shared by every call of a process
+    for name, _, _, arguments in COMMANDS:
+        for flags, kwargs in arguments:
+            assert kwargs.get("action") not in ("append", "append_const", "extend"), (name, flags)
+            assert not isinstance(kwargs.get("default"), (list, dict, set)), (name, flags)
 
 
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):

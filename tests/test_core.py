@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 import re
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoideal import core
 from monoideal.core import (
     Alphabet,
     AlphabetMismatchError,
@@ -143,6 +145,83 @@ def test_word_is_factor():
     assert word_is_factor(Word(()), Word((0, 1)))
 
 
+def referee_word_check(letters):
+    """The per-letter check of every ``Word``: the letters, or the error message."""
+    for x in letters:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            return f"invalid letter index {x!r}"
+    return letters
+
+
+class Letter(enum.IntEnum):
+    A = 0
+    B = 7
+
+
+def test_word_check_matches_per_letter_referee():
+    rng = random.Random(5)
+    odd = [True, False, -1, -(2**70), 1.0, 0.5, "a", None, Letter.A, Letter.B,
+           0x110000, 2**70, 2**63 - 1]
+    cases = [(), (0,), (True,), (Letter.B, 0), (2**70, -1), (0, "a", -1), (1.0,)]
+    for _ in range(2000):
+        pool = [0, 1, 2, 3] + rng.sample(odd, rng.randint(0, 3))
+        cases.append(tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))))
+    for letters in cases:
+        expected = referee_word_check(letters)
+        if isinstance(expected, str):
+            with pytest.raises(MonoidealError) as info:
+                Word(letters)
+            assert info.type is MonoidealError and str(info.value) == expected, letters
+        else:
+            assert Word(letters).letters == expected
+
+
+def referee_is_factor(u, v):
+    """Compare a slice of ``v`` with ``u`` at every offset."""
+    a, b = u.letters, v.letters
+    if not a:
+        return True
+    return any(b[i : i + len(a)] == a for i in range(len(b) - len(a) + 1))
+
+
+def random_words(rng, count, letters):
+    """Words over a few of ``letters``, with long runs now and then."""
+    out = []
+    for _ in range(count):
+        alphabet = rng.sample(letters, rng.randint(1, min(4, len(letters))))
+        w = []
+        while len(w) < rng.randint(0, 12):
+            w.extend([rng.choice(alphabet)] * rng.choice((1, 1, 2, 5)))
+        out.append(Word(tuple(w)))
+    return out
+
+
+@pytest.mark.parametrize("chars", [None, 4], ids=["one-char", "two-char"])
+def test_word_is_factor_matches_slice_referee(monkeypatch, chars):
+    if chars is not None:
+        # more distinct letters than characters: two characters per letter
+        monkeypatch.setattr(core, "_CHARS", chars)
+    rng = random.Random(11)
+    letters = [0, 1, 2, 3, 0x110000, 0x110001, 2**70, 2**70 + 1, 5, 9, 12, 40]
+    pairs = [((0, 0, 1), (0, 0, 0, 1)), ((0, 1, 0, 1), (0, 1, 0, 0, 1, 0, 1)),
+             ((1, 0), (0,)), ((), ()), ((), (2**70,)), ((2**70,), (2**70 + 1,)),
+             (tuple(letters), tuple(letters * 2)), (tuple(letters), tuple(letters[::-1]))]
+    pairs = [(Word(u), Word(v)) for u, v in pairs]
+    words = random_words(rng, 60, letters)
+    pairs += [(rng.choice(words), rng.choice(words)) for _ in range(3000)]
+    for v in words:  # every factor of v, and one letter off
+        for i in range(len(v)):
+            j = rng.randint(i, len(v))
+            pairs.append((Word(v.letters[i:j]), v))
+            pairs.append((Word(v.letters[i:j] + (rng.choice(letters),)), v))
+    six = (0, 1, 2, 0x110000, 2**70, 9)
+    short = [Word(w) for k in range(3) for w in itertools.product(six, repeat=k)]
+    long = [Word(w) for k in range(5) for w in itertools.product(six, repeat=k)]
+    pairs += itertools.product(short, long)
+    for u, v in pairs:
+        assert word_is_factor(u, v) == referee_is_factor(u, v), (u, v)
+
+
 R_EXAMPLE = M(
     (0, 0, 3, 0, 0, 0, 0),  # c^3
     (2, 0, 5, 0, 0, 2, 0),  # a^2 c^5 f^2
@@ -156,6 +235,12 @@ def test_extremal_degree_max():
     assert extremal_degree_max(R_EXAMPLE, 2, alphabetical) == 3  # r_c
     assert extremal_degree_max(R_EXAMPLE, 5, alphabetical) == 2  # r_f
     assert extremal_degree_max(R_EXAMPLE, 3, alphabetical) == 0  # d unused
+    # the letter is checked against the ordering, so an empty set is no exception
+    for members in (R_EXAMPLE, ()):
+        with pytest.raises(MonoidealError, match="letter index 99 out of range for 7 letters"):
+            extremal_degree_max(members, 99, alphabetical)
+    with pytest.raises(AlphabetMismatchError, match="monomial and ordering sizes differ"):
+        extremal_degree_max(R_EXAMPLE, 3, Ordering.identity(8))
 
 
 def test_overflow_checked():
