@@ -21,6 +21,7 @@ from .core import (
     BudgetExceededError,
     Monomial,
     MonoidealError,
+    NotFinitelyGeneratedError,
     Ordering,
     ParseError,
     antichain_reduce,
@@ -30,10 +31,10 @@ from .core import (
     format_word,
     monomial_set,
     sorted_monomials,
-    sorted_words,
 )
 from .cool_orderings import all_orderings_cool, find_cool_ordering, is_cool
 from .polyhedral import (
+    DEFAULT_LATTICE_BUDGET,
     Certificate,
     IneqSystem,
     SatInstance,
@@ -46,8 +47,9 @@ from .polyhedral import (
 )
 from .preimage import preimage_degree_bounds, preimage_fg
 from .sorted_ideal import (
-    _generating_set,
-    _lift,
+    DEFAULT_LETTER_BUDGET,
+    fg_generating_set,
+    groebner_lift,
     is_fg_sorted,
     minimal_word_generators,
 )
@@ -78,7 +80,8 @@ def parse_monomial_file(text: str) -> tuple[Alphabet, tuple[Monomial, ...], Orde
     Monomial lines are whitespace-separated factors `name` or `name^k`, or
     a bracketed exponent vector `[1,2,1]`.  Letters used in name syntax
     without a declaration are appended in first-occurrence order; a file of
-    bare vectors gets default names x1..xn.
+    bare vectors gets default names x1..xn.  A `letters:` line must come
+    before every monomial line.
     """
     names: list[str] = []
     declared = False
@@ -97,6 +100,8 @@ def parse_monomial_file(text: str) -> tuple[Alphabet, tuple[Monomial, ...], Orde
         if line.startswith("letters:"):
             if declared:
                 raise ParseError("duplicate letters declaration", lineno)
+            if name_monomials or vector_monomials:
+                raise ParseError("letters declaration after a monomial", lineno)
             declared_names = line[len("letters:") :].split()
             if not declared_names:
                 raise ParseError("empty letters declaration", lineno)
@@ -293,29 +298,26 @@ def _cmd_check_fg(args):
 
 
 def _word_list_command(args, key: str, words) -> tuple[int, dict]:
-    """Decide finite generation; when it holds and fits the budget, list
-    ``words(gens, ord)`` for the generating set ``gens``."""
+    """List ``words(M, ord, budget)``, or exit 1 with the witness of an
+    ideal that is not finitely generated."""
     alphabet, monomials, ordering = _load_monomials(args)
-    ordering = _require_order(ordering)
-    witness = is_fg_sorted(monomials, ordering)
-    if not witness.verdict:
-        return 1, _witness_payload(witness, alphabet)
-    gens = _generating_set(monomials, ordering, _budget(10_000_000))
-    return 0, {
-        "verdict": True,
-        key: [format_word(w, alphabet) for w in words(gens, ordering)],
-    }
+    try:
+        found = words(monomials, _require_order(ordering), _budget(DEFAULT_LETTER_BUDGET))
+    except NotFinitelyGeneratedError as exc:
+        return 1, _witness_payload(exc.witness, alphabet)
+    return 0, {"verdict": True, key: [format_word(w, alphabet) for w in found]}
 
 
 def _cmd_generators(args):
-    def generators(gens, ordering):
-        return sorted_words(gens if args.raw else minimal_word_generators(gens))
+    def generators(M, ordering, budget):
+        gens = fg_generating_set(M, ordering, budget)
+        return gens if args.raw else minimal_word_generators(gens)
 
     return _word_list_command(args, "generators", generators)
 
 
 def _cmd_gb_lift(args):
-    return _word_list_command(args, "leading_words", _lift)
+    return _word_list_command(args, "leading_words", groebner_lift)
 
 
 def _cmd_is_cool(args):
@@ -418,7 +420,7 @@ def _cmd_poly_member(args):
 
 def _cmd_poly_mingens(args):
     sys_ = _load_system(args.file)
-    gens = poly_minimal_generators(sys_, _budget(10_000_000))
+    gens = poly_minimal_generators(sys_, _budget(DEFAULT_LATTICE_BUDGET))
     return 0, {"minimal_generators": [list(g) for g in gens]}
 
 
@@ -444,7 +446,7 @@ def _cmd_reduce_sat(args):
 
 def _cmd_convexity(args):
     _, monomials, _ = _load_monomials(args)
-    verdict = convexity_check(monomials, _budget(10_000_000))
+    verdict = convexity_check(monomials, _budget(DEFAULT_LATTICE_BUDGET))
     return (0 if verdict else 1), {"convex": verdict}
 
 

@@ -44,7 +44,11 @@ class NotAntichainError(MonoidealError):
 
 
 class NotFinitelyGeneratedError(MonoidealError):
-    """A finite generating set was requested for an infinite ideal."""
+    """A finite generating set was requested for an infinite ideal; ``witness`` says why."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class BudgetExceededError(MonoidealError):

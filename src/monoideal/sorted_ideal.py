@@ -33,6 +33,9 @@ from .core import (
     sorted_words,
 )
 
+# Letters a generating set may hold before it is refused unbuilt.
+DEFAULT_LETTER_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class FgWitness:
@@ -97,37 +100,32 @@ def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
     return FgWitness(True, None)
 
 
-def fg_generating_set(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
+def fg_generating_set(
+    M: Sequence[Monomial], ord: Ordering, budget: int = DEFAULT_LETTER_BUDGET
+) -> tuple[Word, ...]:
     """The finite generating set: each member padded by internal letters.
 
     Member ``w`` contributes the sorted words of ``w * u`` where ``u`` runs
     over products of letters internal to ``w`` and the total degree of each
     internal letter ``x`` stays below the extremal maximum ``r_x(M)``.
+    A negative :func:`is_fg_sorted` decision raises
+    :class:`NotFinitelyGeneratedError` carrying it as ``witness``.  A set
+    that may hold more than ``budget`` letters (:func:`generator_count_bound`
+    times :func:`complete_enumeration_bound`) is refused before it is built.
     """
-    if not is_fg_sorted(M, ord).verdict:
+    ms = monomial_set(M)
+    witness = is_fg_sorted(ms, ord)
+    if not witness.verdict:
         raise NotFinitelyGeneratedError(
-            "the sorted-word ideal is not finitely generated under this ordering"
+            "the sorted-word ideal is not finitely generated under this ordering", witness
         )
-    return _generating_set(monomial_set(M), ord)
-
-
-def _generating_set(
-    ms: Sequence[Monomial], ord: Ordering, max_letters: int | None = None
-) -> tuple[Word, ...]:
-    """:func:`fg_generating_set` of distinct members already known to pass :func:`is_fg_sorted`.
-
-    With ``max_letters``, a set whose bound on the letters it may hold
-    (:func:`generator_count_bound` times :func:`complete_enumeration_bound`)
-    exceeds it is refused before it is enumerated.
-    """
     r, internal_sets = _extremal_scan(ms, ord)
-    if max_letters is not None:
-        letters = _count_bound(ms, r, internal_sets) * _length_bound(ms, r, internal_sets)
-        if letters > max_letters:
-            raise BudgetExceededError(
-                f"the generating set may hold up to {letters} letters, "
-                f"past the budget of {max_letters}"
-            )
+    letters = _count_bound(ms, r, internal_sets) * _length_bound(ms, r, internal_sets)
+    if letters > budget:
+        raise BudgetExceededError(
+            f"the generating set may hold up to {letters} letters, "
+            f"past the budget of {budget}"
+        )
     words: list[Word] = []
     for w, internal in zip(ms, internal_sets):
         internals = sorted(internal)
@@ -274,19 +272,17 @@ def commutator_leading_words(ord: Ordering) -> tuple[Word, ...]:
     return sorted_words(words)
 
 
-def groebner_lift(M: Sequence[Monomial], ord: Ordering) -> tuple[Word, ...]:
+def groebner_lift(
+    M: Sequence[Monomial], ord: Ordering, budget: int = DEFAULT_LETTER_BUDGET
+) -> tuple[Word, ...]:
     """Leading-word set of a finite Groebner basis of the lifted ideal.
 
     The commutator leading words together with the minimal generators of
     the sorted-word ideal.  Defined exactly when the sorted-word ideal is
-    finitely generated.
+    finitely generated; errors and ``budget`` as in :func:`fg_generating_set`.
     """
-    return _lift(fg_generating_set(M, ord) if M else (), ord)
-
-
-def _lift(gens: Iterable[Word], ord: Ordering) -> tuple[Word, ...]:
-    """:func:`groebner_lift` from the generating set ``gens`` of the sorted-word ideal."""
-    return sorted_words(commutator_leading_words(ord) + minimal_word_generators(gens))
+    gens = minimal_word_generators(fg_generating_set(M, ord, budget))
+    return sorted_words(commutator_leading_words(ord) + gens)
 
 
 def complete_enumeration_bound(M: Sequence[Monomial], ord: Ordering) -> int:

@@ -261,6 +261,7 @@ def finiteness_probe(
     the pumped families of negative instances) decides finite generation at
     desk scale.
     """
+    M = tuple(M)  # read twice below
     bound = complete_enumeration_bound(M, ord)
     report = sorted_ideal_report(M, ord, bound + 2, budget)
     return all(len(w) <= bound for w in report.minimal_generators)

@@ -15,7 +15,7 @@ from monoideal.cli import (
     parse_monomial_file,
     parse_nae_file,
 )
-from monoideal.core import Monomial, ParseError, format_monomial
+from monoideal.core import BudgetExceededError, Monomial, ParseError, format_monomial
 
 
 def run(capsys, *argv):
@@ -65,6 +65,7 @@ def test_parse_round_trip():
         "letters: a b\nletters: c\n",
         "letters: a b\n[1,2,3]\n",
         "letters: a b\norder: a\na\n",
+        "a\nletters: b a\n[1,0]\n",
         "",
     ],
 )
@@ -147,6 +148,14 @@ def test_cli_word_lists_decide_finite_generation_once(tmp_path, capsys, monkeypa
         calls.clear()
         assert run(capsys, *argv) == (0, {"verdict": True, key: words})
         assert calls == {"is_fg_sorted": 1, "_extremal_scan": 1}, argv
+    # not finitely generated under a b c: the witness of check-fg, decided once
+    calls.clear()
+    refused = run(capsys, "check-fg", str(f), "--order", "a b c")
+    assert refused[0] == 1
+    for command in ("generators", "gb-lift"):
+        calls.clear()
+        assert run(capsys, command, str(f), "--order", "a b c") == refused
+        assert calls == {"is_fg_sorted": 1}, command
 
 
 def test_cli_cool_commands(tmp_path, capsys):
@@ -373,7 +382,7 @@ def test_cli_box_budget_exceeded(tmp_path, capsys, monkeypatch):
     assert payload == {"error": "lattice box of 4913 points exceeds the budget 1000"}
 
 
-def test_cli_huge_exponents(tmp_path, capsys):
+def test_cli_huge_exponents(tmp_path, capsys, monkeypatch):
     f = tmp_path / "huge.mon"
     f.write_text("letters: a b c\norder: a b c\na c\nb^1000000000\n")
     code, payload = run(capsys, "check-fg", str(f))
@@ -388,6 +397,13 @@ def test_cli_huge_exponents(tmp_path, capsys):
     for command in ("generators", "gb-lift"):
         code, payload = run(capsys, command, str(f))
         assert code == 3 and "past the budget of 10000000" in payload["error"]
+    # the library refuses it alike at its default budget, before building a word
+    _, monomials, ordering = parse_monomial_file(f.read_text())
+    monkeypatch.setattr(sorted_ideal, "sigma", None)
+    for entry in (sorted_ideal.fg_generating_set, sorted_ideal.groebner_lift):
+        with pytest.raises(BudgetExceededError) as info:
+            entry(monomials, ordering)
+        assert str(info.value) == payload["error"]
 
 
 def test_cli_crosscheck_small(capsys):

@@ -1,4 +1,5 @@
 import enum
+import inspect
 import itertools
 import random
 import re
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoideal import core
+from monoideal import cool_orderings, core, preimage, sorted_ideal, word_oracle
 from monoideal.core import (
     Alphabet,
     AlphabetMismatchError,
@@ -450,3 +451,75 @@ def test_set_checks_match_the_pairwise_referee():
                 got = _outcome(lambda: entry(members, n))
                 want = _outcome(lambda: _checked_set_referee(members, n, antichain))
                 assert got == want, (entry.__name__, members, n)
+
+
+# ---------------------------------------------------------------------------
+# every entry that takes a monomial set reads it once
+
+# name: call with the set passed through ``wrap`` (``tuple`` or ``iter``)
+SET_ENTRIES = {
+    "sorted_ideal.is_fg_sorted": lambda wrap, ms, o: sorted_ideal.is_fg_sorted(wrap(ms), o),
+    "sorted_ideal.fg_generating_set":
+        lambda wrap, ms, o: sorted_ideal.fg_generating_set(wrap(ms), o),
+    "sorted_ideal.eps_minimal_generators":
+        lambda wrap, ms, o: sorted_ideal.eps_minimal_generators(wrap(ms), o, 8),
+    "sorted_ideal.generator_count_bound":
+        lambda wrap, ms, o: sorted_ideal.generator_count_bound(wrap(ms), o),
+    "sorted_ideal.complete_enumeration_bound":
+        lambda wrap, ms, o: sorted_ideal.complete_enumeration_bound(wrap(ms), o),
+    "sorted_ideal.groebner_lift": lambda wrap, ms, o: sorted_ideal.groebner_lift(wrap(ms), o),
+    "preimage.preimage_fg": lambda wrap, ms, o: preimage.preimage_fg(wrap(ms)),
+    "preimage.preimage_fg_pairs": lambda wrap, ms, o: preimage.preimage_fg_pairs(wrap(ms)),
+    "preimage.preimage_degree_bounds":
+        lambda wrap, ms, o: preimage.preimage_degree_bounds(wrap(ms)),
+    "preimage.square_letters": lambda wrap, ms, o: preimage.square_letters(wrap(ms)),
+    "cool_orderings.is_cool": lambda wrap, ms, o: cool_orderings.is_cool(wrap(ms), o),
+    "cool_orderings.all_orderings_cool":
+        lambda wrap, ms, o: cool_orderings.all_orderings_cool(wrap(ms)),
+    "cool_orderings.closed_subset_check":
+        lambda wrap, ms, o: cool_orderings.closed_subset_check(wrap(ms), wrap(ms[:1])),
+    "cool_orderings.support_filter":
+        lambda wrap, ms, o: cool_orderings.support_filter(wrap(ms), 2),
+    "cool_orderings.quadratic_graph":
+        lambda wrap, ms, o: cool_orderings.quadratic_graph(wrap(ms)),
+    "cool_orderings.quadratic_to_support2":
+        lambda wrap, ms, o: cool_orderings.quadratic_to_support2(wrap(ms)),
+    "cool_orderings.square_free_total_degree_guard":
+        lambda wrap, ms, o: cool_orderings.square_free_total_degree_guard(wrap(ms)),
+    "cool_orderings.find_cool_ordering":
+        lambda wrap, ms, o: cool_orderings.find_cool_ordering(wrap(ms)),
+    "word_oracle.word_in_sorted_ideal":
+        lambda wrap, ms, o: word_oracle.word_in_sorted_ideal(sigma(ms[1], o), wrap(ms), o),
+    "word_oracle.word_in_preimage":
+        lambda wrap, ms, o: word_oracle.word_in_preimage(sigma(ms[1], o), wrap(ms)),
+    "word_oracle.sorted_ideal_report":
+        lambda wrap, ms, o: word_oracle.sorted_ideal_report(wrap(ms), o, 6),
+    "word_oracle.preimage_report": lambda wrap, ms, o: word_oracle.preimage_report(wrap(ms), 6),
+    "word_oracle.finiteness_probe":
+        lambda wrap, ms, o: word_oracle.finiteness_probe(wrap(ms), o),
+}
+# a b^2 c and a^3 b: finitely generated under b < a < c, not under a < b < c
+ONE_PASS_CASES = {
+    "finite": (M((1, 2, 1), (3, 1, 0)), Ordering.from_sequence((1, 0, 2))),
+    "infinite": (M((1, 2, 1), (3, 1, 0)), Ordering.identity(3)),
+}
+
+
+def test_set_entries_list_every_public_entry_taking_a_set():
+    modules = (sorted_ideal, preimage, cool_orderings, word_oracle)
+    public = {
+        f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        for module in modules
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        and not name.startswith("_") and "M" in inspect.signature(fn).parameters
+    }
+    assert public == set(SET_ENTRIES)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+@pytest.mark.parametrize("name", sorted(SET_ENTRIES))
+def test_every_entry_reads_its_set_once(name, case):
+    call = SET_ENTRIES[name]
+    ms, o = ONE_PASS_CASES[case]
+    assert _outcome(lambda: call(iter, ms, o)) == _outcome(lambda: call(tuple, ms, o))

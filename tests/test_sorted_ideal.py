@@ -109,8 +109,9 @@ def test_violator_matches_referee():
 def test_fg_generating_set_worked_example():
     gens = fg_generating_set(AB2C_A3B, BAC)
     assert set(gens) == set(W((1, 1, 0, 2), (1, 1, 0, 0, 2), (1, 0, 0, 0)))
-    with pytest.raises(NotFinitelyGeneratedError):
+    with pytest.raises(NotFinitelyGeneratedError) as info:
         fg_generating_set(AB2C_A3B, ABC)
+    assert info.value.witness == is_fg_sorted(AB2C_A3B, ABC)
 
 
 def test_fg_generating_set_no_internal_letters():
