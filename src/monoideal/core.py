@@ -99,11 +99,6 @@ class Alphabet:
         except ValueError:
             raise MonoidealError(f"unknown letter {name!r}") from None
 
-    @staticmethod
-    def default(n: int) -> "Alphabet":
-        """x1..xn, used when input declares no letter names."""
-        return Alphabet(tuple(f"x{i + 1}" for i in range(n)))
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -136,11 +131,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.n != other.n:
-            raise AlphabetMismatchError("monomials live over different alphabets")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
 
 @dataclass(frozen=True)
 class Word:
@@ -160,10 +150,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
 
 
 @dataclass(frozen=True)
@@ -280,6 +266,24 @@ def is_extremal(w: Monomial, x: int, ord: Ordering) -> bool:
     return x in support(w) and x in extremal_internal(w, ord)[:2]
 
 
+def _extremal_scan(
+    ms: Sequence[Monomial], ord: Ordering
+) -> tuple[list[int], list[frozenset[int]]]:
+    """``extremal_degree_max(ms, x, ord)`` for every letter ``x``, and
+    ``internal_letters(w, ord)`` for every member ``w``, in one pass over ``ms``."""
+    r = [0] * ord.n
+    internals = []
+    for w in ms:
+        if w.is_unit:
+            internals.append(frozenset())
+            continue
+        lo, hi, internal = extremal_internal(w, ord)
+        for x in (lo, hi):
+            r[x] = max(r[x], w.exponents[x])
+        internals.append(internal)
+    return r, internals
+
+
 def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Deduplicate, preserving first-occurrence order."""
     out = tuple(dict.fromkeys(monomials))
@@ -289,6 +293,11 @@ def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
             if m.n != n:
                 raise AlphabetMismatchError("monomial set mixes alphabet sizes")
     return out
+
+
+def _some_row_divides(rows: Iterable[Sequence[int]], w: Sequence[int]) -> bool:
+    """Whether some exponent row lies below ``w`` entrywise; ``w`` may hold ``math.inf``."""
+    return any(all(map(le, s, w)) for s in rows)
 
 
 def _is_antichain_rows(rows: Sequence[tuple[int, ...]]) -> bool:
@@ -340,11 +349,11 @@ def checked_antichain(M: Iterable[Monomial], n: int | None = None) -> tuple[Mono
 def antichain_reduce(M: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal elements of ``M``; generates the same ideal."""
     ms = monomial_set(M)
-    out = []
-    for m in ms:
-        if not any(other is not m and divides(other, m) for other in ms):
-            out.append(m)
-    return tuple(out)
+    rows = [m.exponents for m in ms]
+    return tuple(
+        m for i, m in enumerate(ms)
+        if not _some_row_divides(rows[:i] + rows[i + 1 :], rows[i])
+    )
 
 
 def sigma(w: Monomial, ord: Ordering) -> Word:
@@ -403,13 +412,10 @@ def word_is_factor(u: Word, v: Word) -> bool:
 def extremal_degree_max(M: Iterable[Monomial], x: int, ord: Ordering) -> int:
     """Largest degree with which ``x`` occurs as an extremal letter in ``M``."""
     _check_letter(x, ord.n)
-    best = 0
-    for w in monomial_set(M):
-        if w.n != ord.n:
-            raise AlphabetMismatchError("monomial and ordering sizes differ")
-        if is_extremal(w, x, ord) and w.exponents[x] > best:
-            best = w.exponents[x]
-    return best
+    ms = monomial_set(M)
+    if ms and ms[0].n != ord.n:
+        raise AlphabetMismatchError("monomial and ordering sizes differ")
+    return _extremal_scan(ms, ord)[0][x]
 
 
 # ---------------------------------------------------------------------------

@@ -230,25 +230,25 @@ def check_nae_reduction(variable_count: int, max_clauses: int) -> list:
     return bad
 
 
-def cnf_instances(
-    variable_count: int, max_clauses: int, max_clause_size: int = 3
-) -> Iterable[SatInstance]:
+# Literals a clause of an enumerated CNF may hold.
+MAX_CLAUSE_SIZE = 3
+
+
+def cnf_instances(variable_count: int, max_clauses: int) -> Iterable[SatInstance]:
     """All CNFs with distinct-literal clauses, up to clause and literal order."""
     literals = _literals(variable_count)
     clauses = (
         combo
-        for size in range(1, max_clause_size + 1)
+        for size in range(1, MAX_CLAUSE_SIZE + 1)
         for combo in itertools.combinations(literals, size)
     )
     return _clause_sets(variable_count, max_clauses, clauses, SatInstance)
 
 
 def representative_cnf_instances(
-    variable_count: int, max_clauses: int, max_clause_size: int = 3
+    variable_count: int, max_clauses: int
 ) -> Iterable[SatInstance]:
-    return _representatives(
-        cnf_instances(variable_count, max_clauses, max_clause_size), _clause_canonical
-    )
+    return _representatives(cnf_instances(variable_count, max_clauses), _clause_canonical)
 
 
 def check_sat_reduction(

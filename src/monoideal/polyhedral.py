@@ -22,6 +22,7 @@ from .core import (
     Monomial,
     MonoidealError,
     Ordering,
+    _some_row_divides,
     monomial_set,
     some_assignment_passes,
 )
@@ -108,20 +109,18 @@ def _check_vector(sys: IneqSystem, x: Sequence[int]) -> tuple[int, ...]:
     return xt
 
 
-def _meets(ax: Sequence[int], thresholds: Iterable[Sequence[int]]) -> bool:
-    return any(all(a >= b for a, b in zip(ax, w)) for w in thresholds)
-
-
 def _member(sys: IneqSystem, x: Sequence[int]) -> bool:
     # unchecked kernel: x has the system's length and no negative entry
-    return _meets([sum(a * v for a, v in zip(row, x)) for row in sys.rows], sys.thresholds)
+    ax = [sum(a * v for a, v in zip(row, x)) for row in sys.rows]
+    return _some_row_divides(sys.thresholds, ax)
 
 
 def _is_minimal(sys: IneqSystem, x: Sequence[int]) -> bool:
     # unchecked kernel; decrementing x_j lowers Ax by column j
     ax = [sum(a * v for a, v in zip(row, x)) for row in sys.rows]
-    return _meets(ax, sys.thresholds) and not any(
-        v > 0 and _meets([a - row[j] for a, row in zip(ax, sys.rows)], sys.thresholds)
+    thresholds = sys.thresholds
+    return _some_row_divides(thresholds, ax) and not any(
+        v > 0 and _some_row_divides(thresholds, [a - row[j] for a, row in zip(ax, sys.rows)])
         for j, v in enumerate(x)
     )
 
@@ -339,7 +338,7 @@ def convexity_check(
     in_hull = _hull_test(exponents)
     for point in itertools.product(range(top + 1), repeat=n):
         # a point of the ideal is never a counterexample
-        if any(all(p >= e for p, e in zip(point, ex)) for ex in exponents):
+        if _some_row_divides(exponents, point):
             continue
         if in_hull(point):
             return False

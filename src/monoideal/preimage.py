@@ -10,14 +10,14 @@ pairwise condition and the resulting degree bounds are provided as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     Monomial,
+    _some_row_divides,
     checked_antichain,
-    divides,
-    erase,
     monomial_set,
     sorted_monomials,
     support,
@@ -54,9 +54,7 @@ def preimage_fg(M: Sequence[Monomial]) -> PreimageWitness:
     for m in sorted_monomials(ms):
         supp_m = support(m)
         for z in range(n):
-            if z in pure:
-                continue
-            if erase(m, z).degree < 2:
+            if z in pure or m.degree - m.exponents[z] < 2:
                 continue
             if not any(a == z and t in supp_m for a, t in pairs):
                 return PreimageWitness(False, (m, z))
@@ -71,6 +69,7 @@ def preimage_fg_pairs(M: Sequence[Monomial]) -> PreimageWitness:
     ``z`` erased must divide ``m/x`` or ``m/y``.
     """
     ms = checked_antichain(M)
+    rows = [m.exponents for m in ms]
     n = ms[0].n if ms else 0
     for m in sorted_monomials(ms):
         supp_m = sorted(support(m))
@@ -83,22 +82,20 @@ def preimage_fg_pairs(M: Sequence[Monomial]) -> PreimageWitness:
             for x, y in pairs_xy:
                 if z == x or z == y:
                     continue
-                if _pair_condition(ms, m, x, y, z):
+                if _pair_condition(rows, m.exponents, x, y, z):
                     continue
                 return PreimageWitness(False, (m, z))
     return PreimageWitness(True, None)
 
 
 def _pair_condition(
-    M: Sequence[Monomial], m: Monomial, x: int, y: int, z: int
+    rows: Sequence[tuple[int, ...]], m: tuple[int, ...], x: int, y: int, z: int
 ) -> bool:
-    for shaved_letter in {x, y}:
-        e = list(m.exponents)
-        e[shaved_letter] -= 1
-        target = Monomial(tuple(e))
-        if any(divides(erase(w, z), target) for w in M):
-            return True
-    return False
+    """Whether some row with ``z`` erased divides ``m/x`` or ``m/y``."""
+    # erase(s, z) | t exactly when s | t with the entry of z raised past every exponent
+    cap = list(m)
+    cap[z] = math.inf
+    return any(_some_row_divides(rows, cap[:a] + [cap[a] - 1] + cap[a + 1 :]) for a in {x, y})
 
 
 def preimage_degree_bounds(M: Sequence[Monomial]) -> tuple[int, ...]:

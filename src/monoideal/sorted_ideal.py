@@ -24,9 +24,10 @@ from .core import (
     NotFinitelyGeneratedError,
     Ordering,
     Word,
+    _extremal_scan,
     _letter_strings,
+    _some_row_divides,
     checked_antichain,
-    divides,
     extremal_internal,
     monomial_set,
     sigma,
@@ -155,28 +156,6 @@ def minimal_word_generators(S: Iterable[Word]) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _extremal_scan(
-    ms: Sequence[Monomial], ord: Ordering
-) -> tuple[list[int], list[frozenset[int]]]:
-    """``extremal_degree_max(ms, x, ord)`` for every letter ``x``, and
-    ``internal_letters(w, ord)`` for every member ``w``, in one pass over ``ms``."""
-    r = [0] * ord.n
-    internals = []
-    for w in ms:
-        if w.is_unit:
-            internals.append(frozenset())
-            continue
-        lo, hi, internal = extremal_internal(w, ord)
-        for x in (lo, hi):
-            r[x] = max(r[x], w.exponents[x])
-        internals.append(internal)
-    return r, internals
-
-
-def _in_ideal(M: Sequence[Monomial], m: Monomial) -> bool:
-    return any(divides(s, m) for s in M)
-
-
 def eps_minimal_generators(
     M: Sequence[Monomial], ord: Ordering, length_cap: int
 ) -> tuple[Word, ...]:
@@ -186,37 +165,44 @@ def eps_minimal_generators(
     internal to ``m`` such that erasing one copy of either extremal letter
     of ``m`` leaves the ideal.  When the ideal is finitely generated and the
     cap dominates the completeness bound, this is the whole minimal
-    generating set; otherwise it is the truncation to short words.
+    generating set; otherwise it is the truncation to short words.  When
+    the candidates, times ``length_cap`` letters each, could pass
+    ``DEFAULT_LETTER_BUDGET`` letters, :class:`BudgetExceededError` is
+    raised before any is examined.
     """
     ms = checked_antichain(M, ord.n)
+    rows = [m.exponents for m in ms]
+    extremal = [extremal_internal(m, ord) for m in ms]
+    # k-vectors with sum <= L number comb(k + L, k)
+    candidates = sum(
+        math.comb(len(internal) + length_cap - m.degree, len(internal))
+        for m, (_, _, internal) in zip(ms, extremal)
+        if m.degree <= length_cap
+    )
+    if candidates * length_cap > DEFAULT_LETTER_BUDGET:
+        raise BudgetExceededError(
+            f"the enumeration may examine up to {candidates * length_cap} letters, "
+            f"past the budget of {DEFAULT_LETTER_BUDGET}"
+        )
     out: list[Word] = []
-    for m in ms:
-        lo, hi, internal = extremal_internal(m, ord)
+    for m, (lo, hi, internal) in zip(ms, extremal):
         internals = sorted(internal)
-        budget = length_cap - m.degree
-        if budget < 0:
-            continue
-        for extras in _bounded_vectors(len(internals), budget):
+        for extras in _bounded_vectors(len(internals), length_cap - m.degree):
             e = list(m.exponents)
             for x, extra in zip(internals, extras):
                 e[x] += extra
-            mu = Monomial(tuple(e))
-            ok = True
-            for x in {lo, hi}:
-                shaved = list(mu.exponents)
-                shaved[x] -= 1
-                if _in_ideal(ms, Monomial(tuple(shaved))):
-                    ok = False
-                    break
-            if ok:
-                out.append(sigma(mu, ord))
+            # a generator leaves the ideal when one copy of either extremal letter goes
+            shaved = (e[:x] + [e[x] - 1] + e[x + 1 :] for x in {lo, hi})
+            if not any(_some_row_divides(rows, s) for s in shaved):
+                out.append(sigma(Monomial(tuple(e)), ord))
     return sorted_words(out)
 
 
 def _bounded_vectors(k: int, total: int):
-    """All k-vectors of nonnegative integers with sum <= total."""
+    """All k-vectors of nonnegative integers with sum <= total; none when total < 0."""
     if k == 0:
-        yield ()
+        if total >= 0:
+            yield ()
         return
     for head in range(total + 1):
         for tail in _bounded_vectors(k - 1, total - head):

@@ -224,18 +224,14 @@ class _Solver:
         return solutions
 
 
-def t_orientation_search(
-    g: TGraph, forced: Iterable[tuple[int, int]] = ()
-) -> Orientation | None:
+def t_orientation_search(g: TGraph) -> Orientation | None:
     """First valid T-orientation in the documented branching order, if any."""
-    solutions = _Solver(g, forced).solve(limit=1)
+    solutions = _Solver(g).solve(limit=1)
     return solutions[0] if solutions else None
 
 
-def t_orientation_search_stats(
-    g: TGraph, forced: Iterable[tuple[int, int]] = ()
-) -> tuple[Orientation | None, int]:
-    solver = _Solver(g, forced)
+def t_orientation_search_stats(g: TGraph) -> tuple[Orientation | None, int]:
+    solver = _Solver(g)
     solutions = solver.solve(limit=1)
     return (solutions[0] if solutions else None), solver.nodes
 
@@ -246,10 +242,14 @@ def enumerate_t_orientations(
     return _Solver(g, forced).solve(limit=limit)
 
 
-def brute_force_t_orientations(g: TGraph, max_edges: int = 20) -> list[Orientation]:
+# Edges past which the brute force refuses a graph: 2^20 assignments.
+BRUTE_FORCE_MAX_EDGES = 20
+
+
+def brute_force_t_orientations(g: TGraph) -> list[Orientation]:
     """All valid T-orientations by trying every one of the 2^m assignments."""
-    if len(g.edges) > max_edges:
-        raise MonoidealError(f"brute force refuses more than {max_edges} edges")
+    if len(g.edges) > BRUTE_FORCE_MAX_EDGES:
+        raise MonoidealError(f"brute force refuses more than {BRUTE_FORCE_MAX_EDGES} edges")
     out = []
     for signs in itertools.product((False, True), repeat=len(g.edges)):
         arcs = tuple(

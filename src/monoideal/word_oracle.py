@@ -7,7 +7,8 @@ finite-generation criterion.  The enumerations of the two word ideals
 carry letter counts with each stem instead of calling the membership
 tests, which stay their referee in the tests.  Everything here is
 deliberately independent of the fast decision procedures so it can
-referee them.
+referee them: the walk shares only core's dominance test with the code it
+referees, and ``divides`` with the ``word_in_*`` tests referee that test.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     Monomial,
     Ordering,
     Word,
+    _some_row_divides,
     divides,
     nonunit_set,
     pi,
@@ -209,8 +211,7 @@ def _count_walk(
                 c = zero if rank[z] < rank[last] else counts
                 if c[z] < top[z]:
                     c = c[:z] + (c[z] + 1,) + c[z + 1 :]
-                member = any(all(a <= b for a, b in zip(m, c)) for m in rows)
-                row.append(None if member else (z, c))
+                row.append(None if _some_row_divides(rows, c) else (z, c))
         return row
 
     first = min(range(n), key=rank.__getitem__)

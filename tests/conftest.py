@@ -13,6 +13,14 @@ def W(*seqs) -> tuple[Word, ...]:
     return tuple(Word(tuple(s)) for s in seqs)
 
 
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # compared, never swallowed
+        return ("error", type(exc), str(exc))
+
+
 def brute_minimal_under_division(monomials):
     """Independent oracle: keep members no other member divides."""
     out = []

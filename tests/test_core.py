@@ -47,7 +47,7 @@ from monoideal.word_oracle import (
     word_in_sorted_ideal,
 )
 
-from conftest import M, W, brute_minimal_under_division
+from conftest import M, W, brute_minimal_under_division, outcome
 
 # alphabet a..g used by several worked examples
 ABC = Alphabet(("a", "b", "c"))
@@ -117,6 +117,63 @@ def test_antichain_reduce():
     expected = brute_minimal_under_division(mixed)
     assert expected == set(M((2, 0), (0, 3)))
     assert set(antichain_reduce(mixed)) == expected
+
+
+def test_some_row_divides_matches_divides():
+    # the one dominance test against the referee divides, row by row
+    rng = random.Random(12)
+    for n in range(4):
+        zero = (0,) * n
+        for _ in range(300):
+            w = tuple(rng.randrange(4) for _ in range(n))
+            rows = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(5))]
+            rows += rng.sample([w, zero] + [tuple(int(i == j) for i in range(n)) for j in range(n)],
+                               rng.randrange(2))
+            expected = any(divides(Monomial(s), Monomial(w)) for s in rows)
+            assert core._some_row_divides(rows, w) == expected, (rows, w)
+        assert not core._some_row_divides([], zero)
+        assert core._some_row_divides([zero], zero)
+
+
+def member_antichain_reduce(ms_in):
+    """The member-by-member loop on Monomials, as the row kernel's referee."""
+    ms = monomial_set(ms_in)
+    return tuple(m for m in ms if not any(o is not m and divides(o, m) for o in ms))
+
+
+def test_antichain_reduce_matches_member_loop():
+    # exact tuples, duplicates and non-antichains included: the order is output
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randrange(1, 4)
+        pool = [Monomial(tuple(rng.randrange(3) for _ in range(n))) for _ in range(4)]
+        ms = [rng.choice(pool) for _ in range(rng.randrange(8))]
+        assert outcome(antichain_reduce, ms) == outcome(member_antichain_reduce, ms)
+    mixed = [Monomial((1,)), Monomial((1, 0))]
+    assert outcome(antichain_reduce, mixed) == outcome(member_antichain_reduce, mixed)
+
+
+def test_row_kernels_build_no_monomial(monkeypatch):
+    # below the entry check the decisions read exponent rows; only the
+    # antichain description builds a Monomial, one per emitted word
+    from monoideal.crosscheck import representative_antichains
+
+    built = [0]
+    check = Monomial.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        check(self)
+
+    sets = list(representative_antichains(3, 3)) + list(representative_antichains(4, 2))
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    for ms in sets:
+        for decide in (preimage_fg, preimage_fg_pairs, antichain_reduce):
+            decide(ms)
+        assert built[0] == 0
+        words = eps_minimal_generators(ms, Ordering.identity(ms[0].n), 6)
+        assert built[0] == len(words)
+        built[0] = 0
 
 
 def test_sigma():

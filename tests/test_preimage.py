@@ -1,14 +1,26 @@
 import pytest
 
-from monoideal.core import Monomial, NotAntichainError, Ordering, support
+from monoideal.core import (
+    Monomial,
+    NotAntichainError,
+    Ordering,
+    checked_antichain,
+    divides,
+    erase,
+    sorted_monomials,
+    support,
+)
 from monoideal.cool_orderings import all_orderings_cool
 from monoideal.crosscheck import (
+    antichains,
     check_preimage_conditions,
     check_preimage_implies_all_cool,
     check_squaring,
     representative_antichains,
 )
 from monoideal.preimage import (
+    PreimageWitness,
+    _pair_members,
     preimage_degree_bounds,
     preimage_fg,
     preimage_fg_pairs,
@@ -16,7 +28,7 @@ from monoideal.preimage import (
 )
 from monoideal.word_oracle import preimage_report
 
-from conftest import M
+from conftest import M, outcome
 
 
 def test_preimage_fg_examples():
@@ -40,6 +52,48 @@ def test_preimage_fg_pairs_examples():
 def test_preimage_validates_antichain():
     with pytest.raises(NotAntichainError):
         preimage_fg(M((1, 0), (1, 1)))
+
+
+def member_preimage_fg(ms_in):
+    """The erasure form built on Monomials, as the row kernels' referee."""
+    ms = checked_antichain(ms_in)
+    pairs = _pair_members(ms)
+    pure = {min(s) for s in map(support, ms) if len(s) == 1}
+    for m in sorted_monomials(ms):
+        for z in range(m.n):
+            if z in pure or erase(m, z).degree < 2:
+                continue
+            if not any(a == z and t in support(m) for a, t in pairs):
+                return PreimageWitness(False, (m, z))
+    return PreimageWitness(True, None)
+
+
+def member_preimage_fg_pairs(ms_in):
+    """The pairwise form built on Monomials, as the row kernels' referee."""
+    ms = checked_antichain(ms_in)
+    for m in sorted_monomials(ms):
+        supp = sorted(support(m))
+        xy = [(x, y) for x in supp for y in supp if x < y or (x == y and m.exponents[x] >= 2)]
+        for z in range(m.n):
+            for x, y in xy:
+                if z in (x, y):
+                    continue
+                targets = []
+                for shaved in {x, y}:
+                    e = list(m.exponents)
+                    e[shaved] -= 1
+                    targets.append(Monomial(tuple(e)))
+                if not any(divides(erase(w, z), t) for t in targets for w in ms):
+                    return PreimageWitness(False, (m, z))
+    return PreimageWitness(True, None)
+
+
+def test_row_kernels_match_member_loops():
+    # verdict, witness and error, on every antichain of both sweeps and on bad sets
+    bad = [M((1, 0), (1, 1)), M((0, 0)), (Monomial((1,)), Monomial((0, 1))), ()]
+    for ms in [*antichains(3, 3), *antichains(4, 2), *bad]:
+        assert outcome(preimage_fg, ms) == outcome(member_preimage_fg, ms), ms
+        assert outcome(preimage_fg_pairs, ms) == outcome(member_preimage_fg_pairs, ms), ms
 
 
 def test_conditions_agree_on_small_sweep():

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from monoideal.core import (
     Alphabet,
     AlphabetMismatchError,
+    BudgetExceededError,
     Monomial,
     NotAntichainError,
     NotFinitelyGeneratedError,
@@ -14,18 +18,22 @@ from monoideal.core import (
     UnitMonomialError,
     Word,
     all_orderings,
+    checked_antichain,
     divides,
     erase,
     extremal_degree_max,
+    extremal_internal,
     format_word,
     internal_letters,
     is_extremal,
     sigma,
+    sorted_words,
     support,
     word_is_factor,
 )
 from monoideal.cool_orderings import is_cool
 from monoideal.sorted_ideal import (
+    FgWitness,
     _extremal_scan,
     commutator_leading_words,
     complete_enumeration_bound,
@@ -39,7 +47,7 @@ from monoideal.sorted_ideal import (
 )
 from monoideal.word_oracle import finiteness_probe, sorted_ideal_report
 
-from conftest import M, W
+from conftest import M, W, outcome
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
 ABC = Ordering.identity(3)  # a < b < c
@@ -162,6 +170,70 @@ def test_eps_minimal_generators_truncated_infinite_family():
 
 def test_eps_minimal_generators_single_letter():
     assert eps_minimal_generators(M((1,)), Ordering.identity(1), 5) == W((0,))
+
+
+def member_eps_minimal_generators(ms_in, ord, length_cap):
+    """The antichain description built on Monomials, as the row kernels' referee."""
+    ms = checked_antichain(ms_in, ord.n)
+    out = []
+    for m in ms:
+        lo, hi, internal = extremal_internal(m, ord)
+        internals = sorted(internal)
+        for extras in itertools.product(range(length_cap + 1), repeat=len(internals)):
+            if m.degree + sum(extras) > length_cap:
+                continue
+            e = list(m.exponents)
+            for x, extra in zip(internals, extras):
+                e[x] += extra
+            mu = Monomial(tuple(e))
+            shaved = []
+            for x in {lo, hi}:
+                f = list(mu.exponents)
+                f[x] -= 1
+                shaved.append(Monomial(tuple(f)))
+            if not any(divides(s, t) for s in ms for t in shaved):
+                out.append(sigma(mu, ord))
+    return sorted_words(out)
+
+
+def test_eps_row_kernel_matches_member_loop():
+    # every set up to relabeling under every ordering, caps 0..8: a cap only
+    # drops the longer words, so the referee runs at cap 8 and is truncated
+    from monoideal.crosscheck import representative_antichains
+
+    for n, degree in [(3, 3), (4, 2)]:
+        orderings = list(all_orderings(n))
+        for members in representative_antichains(n, degree):
+            for ord in orderings:
+                full = member_eps_minimal_generators(members, ord, 8)
+                for cap in range(9):
+                    expected = tuple(w for w in full if len(w) <= cap)
+                    assert eps_minimal_generators(members, ord, cap) == expected
+    for bad in [M((1, 0), (1, 1)), M((0, 0)), M((1, 0, 0))]:
+        assert outcome(eps_minimal_generators, bad, Ordering.identity(2), 4) == outcome(
+            member_eps_minimal_generators, bad, Ordering.identity(2), 4)
+
+
+def test_eps_minimal_generators_refuses_past_the_letter_budget():
+    # one internal letter and cap 10^9: about 10^9 candidates, refused unexamined
+    with pytest.raises(BudgetExceededError, match="past the budget of 10000000"):
+        eps_minimal_generators(M((1, 1, 1)), Ordering.identity(3), 10**9)
+
+
+def test_readme_library_example_prints_its_comments():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    alphabet = Alphabet(("a", "b", "c"))
+    witness = is_fg_sorted(AB2C_A3B, ABC)
+    assert witness == FgWitness(False, (Monomial((1, 2, 1)), 1))  # a b^2 c, b
+    words = fg_generating_set(AB2C_A3B, BAC)
+    assert [format_word(w, alphabet) for w in words] == ["b a^3", "b^2 a c", "b^2 a^2 c"]
+    assert out.getvalue() == f"{witness}\n{words}\n"
+    assert "# verdict False, witness (a b^2 c, b)" in code
+    assert "# b a^3, b^2 a c, b^2 a^2 c" in code
 
 
 def test_eps_equals_minimized_generating_set_when_cap_dominates():
