@@ -81,17 +81,14 @@ def parse_monomial_file(text: str) -> tuple[Alphabet, tuple[Monomial, ...], Orde
     a bracketed exponent vector `[1,2,1]`.  Letters used in name syntax
     without a declaration are appended in first-occurrence order; a file of
     bare vectors gets default names x1..xn.  A `letters:` line must come
-    before every monomial line.
+    before every monomial line.  Members come back in file order, first
+    occurrences only.
     """
-    names: list[str] = []
+    letters: dict[str, int] = {}  # name -> index, in alphabet order
     declared = False
-    name_monomials: list[tuple[dict[str, int], int]] = []
-    vector_monomials: list[tuple[tuple[int, ...], int]] = []
-    order_names: tuple[list[str], int] | None = None
-
-    def add_letter(name: str) -> None:
-        if name not in names:
-            names.append(name)
+    # (line number, exponent vector or list of (name, power) factors)
+    members: list[tuple[int, tuple[int, ...] | list[tuple[str, int]]]] = []
+    order: tuple[list[str], int] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,7 +97,7 @@ def parse_monomial_file(text: str) -> tuple[Alphabet, tuple[Monomial, ...], Orde
         if line.startswith("letters:"):
             if declared:
                 raise ParseError("duplicate letters declaration", lineno)
-            if name_monomials or vector_monomials:
+            if members:
                 raise ParseError("letters declaration after a monomial", lineno)
             declared_names = line[len("letters:") :].split()
             if not declared_names:
@@ -108,70 +105,64 @@ def parse_monomial_file(text: str) -> tuple[Alphabet, tuple[Monomial, ...], Orde
             if len(set(declared_names)) != len(declared_names):
                 raise ParseError("duplicate letter declaration", lineno)
             for n in declared_names:
-                if not _FACTOR_RE.match(n) or "^" in n:
+                if not _NAME_RE.fullmatch(n):
                     raise ParseError(f"bad letter name {n!r}", lineno)
-                add_letter(n)
+            letters = {n: i for i, n in enumerate(declared_names)}
             declared = True
             continue
         if line.startswith("order:"):
-            if order_names is not None:
+            if order is not None:
                 raise ParseError("duplicate order declaration", lineno)
-            order_names = (line[len("order:") :].split(), lineno)
+            order = (line[len("order:") :].split(), lineno)
             continue
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError("unterminated vector", lineno)
             body = line[1:-1].strip()
             try:
-                entries = tuple(int(p) for p in body.split(",")) if body else ()
+                member = tuple(int(p) for p in body.split(",")) if body else ()
             except ValueError:
                 raise ParseError("non-integer vector entry", lineno) from None
-            if any(e < 0 for e in entries):
+            if any(e < 0 for e in member):
                 raise ParseError("negative exponent", lineno)
-            if not names and not name_monomials and not vector_monomials:
-                for i in range(len(entries)):
-                    add_letter(f"x{i + 1}")
-            vector_monomials.append((entries, lineno))
-            continue
-        factors: dict[str, int] = {}
-        for token in line.split():
-            match = _FACTOR_RE.match(token)
-            if not match:
-                raise ParseError(f"malformed factor {token!r}", lineno)
-            name, exp = match.group(1), match.group(2)
-            k = 1 if exp is None else int(exp)
-            if k < 0:
-                raise ParseError("negative exponent", lineno)
-            add_letter(name)
-            factors[name] = factors.get(name, 0) + k
-        name_monomials.append((factors, lineno))
+            if not letters and not members:
+                letters = {f"x{i + 1}": i for i in range(len(member))}
+        else:
+            member = []
+            for token in line.split():
+                match = _FACTOR_RE.match(token)
+                if not match:
+                    raise ParseError(f"malformed factor {token!r}", lineno)
+                name, exp = match.groups()
+                k = 1 if exp is None else int(exp)
+                if k < 0:
+                    raise ParseError("negative exponent", lineno)
+                letters.setdefault(name, len(letters))
+                member.append((name, k))
+        members.append((lineno, member))
 
-    if not names:
+    if not letters:
         raise ParseError("no letters and no monomials in input")
-    alphabet = Alphabet(tuple(names))
+    alphabet = Alphabet(tuple(letters))
     monomials: list[Monomial] = []
-    for entries, lineno in vector_monomials:
-        if len(entries) != alphabet.size:
+    for lineno, member in members:
+        if isinstance(member, list):
+            e = [0] * alphabet.size
+            for name, k in member:
+                e[letters[name]] += k
+            member = tuple(e)
+        elif len(member) != alphabet.size:
             raise ParseError(
-                f"vector length {len(entries)} does not match {alphabet.size} letters",
+                f"vector length {len(member)} does not match {alphabet.size} letters",
                 lineno,
             )
-        monomials.append(Monomial(entries))
-    for factors, lineno in name_monomials:
-        e = [0] * alphabet.size
-        for name, k in factors.items():
-            e[alphabet.index(name)] += k
-        monomials.append(Monomial(tuple(e)))
-
-    ordering = None
-    if order_names is not None:
-        tokens, lineno = order_names
-        ordering = _ordering_from_names(tokens, alphabet, lineno)
+        monomials.append(Monomial(member))
+    ordering = None if order is None else _ordering_from_names(alphabet, *order)
     return alphabet, monomial_set(monomials), ordering
 
 
 def _ordering_from_names(
-    tokens: Sequence[str], alphabet: Alphabet, lineno: int | None = None
+    alphabet: Alphabet, tokens: Sequence[str], lineno: int | None = None
 ) -> Ordering:
     if sorted(tokens) != sorted(alphabet.names):
         raise ParseError(
@@ -250,7 +241,7 @@ def _read(path: str) -> str:
 def _load_monomials(args) -> tuple[Alphabet, tuple[Monomial, ...], Ordering | None]:
     alphabet, monomials, ordering = parse_monomial_file(_read(args.file))
     if getattr(args, "order", None):
-        ordering = _ordering_from_names(args.order.split(), alphabet)
+        ordering = _ordering_from_names(alphabet, args.order.split())
     return alphabet, monomials, ordering
 
 
@@ -563,9 +554,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser(_requested_command(argv)).parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except ParseError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
     except BudgetExceededError as exc:
         print(json.dumps({"error": str(exc)}))
         return 3

@@ -190,12 +190,13 @@ class Ordering:
 
     @staticmethod
     def from_sequence(seq: Sequence[int]) -> "Ordering":
-        rank = [-1] * len(seq)
-        for pos, letter in enumerate(seq):
-            if not 0 <= letter < len(seq) or rank[letter] != -1:
-                raise MonoidealError("ordering sequence must list each letter once")
-            rank[letter] = pos
-        return Ordering(tuple(rank))
+        """The ordering listing ``seq`` from smallest to largest."""
+        # seq is a permutation exactly when it passes as a rank, and the
+        # inverse of that rank is then the rank of the ordering seq lists
+        try:
+            return Ordering(Ordering(tuple(seq)).sequence())
+        except MonoidealError:
+            raise MonoidealError("ordering sequence must list each letter once") from None
 
     @staticmethod
     def identity(n: int) -> "Ordering":
@@ -257,20 +258,11 @@ def extremal_internal(
     return seq[lo], seq[hi], frozenset(seq[lo + 1 : hi])
 
 
-def internal_letters(w: Monomial, ord: Ordering) -> frozenset[int]:
-    return frozenset() if w.is_unit else extremal_internal(w, ord)[2]
-
-
-def is_extremal(w: Monomial, x: int, ord: Ordering) -> bool:
-    """Whether ``x`` is the smallest or largest support letter of ``w``."""
-    return x in support(w) and x in extremal_internal(w, ord)[:2]
-
-
 def _extremal_scan(
     ms: Sequence[Monomial], ord: Ordering
 ) -> tuple[list[int], list[frozenset[int]]]:
-    """``extremal_degree_max(ms, x, ord)`` for every letter ``x``, and
-    ``internal_letters(w, ord)`` for every member ``w``, in one pass over ``ms``."""
+    """``extremal_degree_max(ms, x, ord)`` for every letter ``x``, and the
+    internal letters of every member (none for the unit), in one pass over ``ms``."""
     r = [0] * ord.n
     internals = []
     for w in ms:

@@ -264,15 +264,10 @@ def check_sat_reduction(
 
 
 def run_all(
-    letters: int = 3,
-    max_degree: int = 2,
-    quadratic_letters: int = 4,
-    nae_variables: int = 2,
-    nae_clauses: int = 1,
-    sat_variables: int = 3,
-    sat_clauses: int = 1,
+    letters: int, max_degree: int, quadratic_letters: int, nae_variables: int,
+    nae_clauses: int, sat_variables: int, sat_clauses: int,
 ) -> dict:
-    """Configurable battery used by the command-line crosscheck."""
+    """Configurable battery behind ``monoideal crosscheck``, whose flags hold the defaults."""
     results = {}
     results["fg_vs_probe"] = len(check_fg_vs_probe(letters, max_degree))
     results["preimage_conditions"] = len(

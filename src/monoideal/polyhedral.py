@@ -498,15 +498,11 @@ def sat_reduction(inst: SatInstance, which: str) -> IneqSystem:
     if inst.variable_count < 3:
         raise MonoidealError("the reductions require at least three variables")
     nv = inst.variable_count
-    offset = {"mdois": 0, "imfg": 2, "pinfg": 1}[which]
-    ncols = 2 * nv + offset
-    names = []
-    if which == "imfg":
-        names = ["y", "z"]
-    elif which == "pinfg":
-        names = ["y"]
+    names = {"mdois": [], "imfg": ["y", "z"], "pinfg": ["y"]}[which]
+    offset = len(names)
     for i in range(1, nv + 1):
         names.extend([f"x{i}", f"nx{i}"])
+    ncols = len(names)
 
     def clause_row(clause: Iterable[int]) -> list[int]:
         row = [0] * ncols
@@ -537,9 +533,7 @@ def sat_reduction(inst: SatInstance, which: str) -> IneqSystem:
     return union(systems)
 
 
-def reduction_is_negative(
-    sys: IneqSystem, which: str, budget: int = DEFAULT_LATTICE_BUDGET
-) -> bool:
+def reduction_is_negative(sys: IneqSystem, which: str) -> bool:
     """Decide the negative answer of a reduced instance from its generators.
 
     mdois: some minimal generator has support of size three or more.
@@ -549,7 +543,7 @@ def reduction_is_negative(
     """
     if which not in SAT_TARGETS:
         raise MonoidealError(f"unknown reduction target {which!r}")
-    gens = enumerate_minimal_generators(sys, budget)
+    gens = enumerate_minimal_generators(sys)
     if which == "mdois":
         return any(sum(1 for v in g if v > 0) >= 3 for g in gens)
     monomials = tuple(Monomial(g) for g in gens)

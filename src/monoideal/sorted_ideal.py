@@ -146,7 +146,7 @@ def minimal_word_generators(S: Iterable[Word]) -> tuple[Word, ...]:
     words kept so far only: a proper factor is shorter, and when it is not
     kept it has a kept factor of its own, which is then a factor of the word.
     """
-    words = sorted(set(S), key=lambda w: (len(w.letters), w.letters))
+    words = sorted_words(S)
     out: list[Word] = []
     kept: list[str] = []
     for w, text in zip(words, _letter_strings(words)):

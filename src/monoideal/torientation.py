@@ -237,9 +237,9 @@ def t_orientation_search_stats(g: TGraph) -> tuple[Orientation | None, int]:
 
 
 def enumerate_t_orientations(
-    g: TGraph, forced: Iterable[tuple[int, int]] = (), limit: int | None = None
+    g: TGraph, forced: Iterable[tuple[int, int]] = ()
 ) -> list[Orientation]:
-    return _Solver(g, forced).solve(limit=limit)
+    return _Solver(g, forced).solve(limit=None)
 
 
 # Edges past which the brute force refuses a graph: 2^20 assignments.

@@ -250,11 +250,7 @@ def preimage_report(
     return _count_walk(tuple(m.exponents for m in ms), (0,) * n, cap, budget)
 
 
-def finiteness_probe(
-    M: Sequence[Monomial],
-    ord: Ordering,
-    budget: int = DEFAULT_MEMBERSHIP_BUDGET,
-) -> bool:
+def finiteness_probe(M: Sequence[Monomial], ord: Ordering) -> bool:
     """Finiteness evidence for the sorted-word ideal, by exhaustion.
 
     Positive instances have all minimal generators within the completeness
@@ -264,5 +260,5 @@ def finiteness_probe(
     """
     M = tuple(M)  # read twice below
     bound = complete_enumeration_bound(M, ord)
-    report = sorted_ideal_report(M, ord, bound + 2, budget)
+    report = sorted_ideal_report(M, ord, bound + 2)
     return all(len(w) <= bound for w in report.minimal_generators)

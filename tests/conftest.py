@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from monoideal.core import Monomial, Ordering, Word, divides, pi
+from monoideal.core import Monomial, Ordering, Word, divides, extremal_internal, pi, support
 
 
 def M(*vectors) -> tuple[Monomial, ...]:
@@ -44,6 +44,15 @@ def naive_sorted_ideal_member(u: Word, monomials, ord: Ordering) -> bool:
             if any(divides(m, counts) for m in monomials):
                 return True
     return False
+
+
+def internal_letters(w: Monomial, ord: Ordering) -> frozenset[int]:
+    return frozenset() if w.is_unit else extremal_internal(w, ord)[2]
+
+
+def is_extremal(w: Monomial, x: int, ord: Ordering) -> bool:
+    """Whether ``x`` is the smallest or largest support letter of ``w``."""
+    return x in support(w) and x in extremal_internal(w, ord)[:2]
 
 
 def all_words_up_to(n_letters: int, cap: int):

@@ -1,5 +1,7 @@
 import argparse
+import itertools
 import json
+import random
 import re
 import sys
 from collections import Counter
@@ -15,7 +17,18 @@ from monoideal.cli import (
     parse_monomial_file,
     parse_nae_file,
 )
-from monoideal.core import BudgetExceededError, Monomial, ParseError, format_monomial
+from monoideal.core import (
+    Alphabet,
+    BudgetExceededError,
+    ExponentOverflowError,
+    Monomial,
+    Ordering,
+    ParseError,
+    format_monomial,
+    monomial_set,
+)
+
+from conftest import outcome as result_of
 
 
 def run(capsys, *argv):
@@ -72,6 +85,291 @@ def test_parse_round_trip():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_monomial_file(bad)
+
+
+def test_parse_keeps_file_order():
+    alphabet, monomials, _ = parse_monomial_file("letters: x y\nx\n[0, 1]\n")
+    assert alphabet.names == ("x", "y")
+    assert monomials == (Monomial((1, 0)), Monomial((0, 1)))
+
+
+# The two-list reader that preceded the one-pass reader, verbatim but for
+# its name and the helpers it called, kept as the referee of the corpus test.
+_REF_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_REF_FACTOR_RE = re.compile(rf"^({_REF_NAME})(?:\^(-?\d+))?$")
+
+
+def _ref_ordering_from_names(tokens, alphabet, lineno=None):
+    if sorted(tokens) != sorted(alphabet.names):
+        raise ParseError(
+            "order must list every letter exactly once", lineno
+        )
+    return Ordering.from_sequence(tuple(alphabet.index(t) for t in tokens))
+
+
+def referee_parse_monomial_file(text: str):
+    names: list[str] = []
+    declared = False
+    name_monomials: list[tuple[dict[str, int], int]] = []
+    vector_monomials: list[tuple[tuple[int, ...], int]] = []
+    order_names: tuple[list[str], int] | None = None
+
+    def add_letter(name: str) -> None:
+        if name not in names:
+            names.append(name)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("letters:"):
+            if declared:
+                raise ParseError("duplicate letters declaration", lineno)
+            if name_monomials or vector_monomials:
+                raise ParseError("letters declaration after a monomial", lineno)
+            declared_names = line[len("letters:") :].split()
+            if not declared_names:
+                raise ParseError("empty letters declaration", lineno)
+            if len(set(declared_names)) != len(declared_names):
+                raise ParseError("duplicate letter declaration", lineno)
+            for n in declared_names:
+                if not _REF_FACTOR_RE.match(n) or "^" in n:
+                    raise ParseError(f"bad letter name {n!r}", lineno)
+                add_letter(n)
+            declared = True
+            continue
+        if line.startswith("order:"):
+            if order_names is not None:
+                raise ParseError("duplicate order declaration", lineno)
+            order_names = (line[len("order:") :].split(), lineno)
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ParseError("unterminated vector", lineno)
+            body = line[1:-1].strip()
+            try:
+                entries = tuple(int(p) for p in body.split(",")) if body else ()
+            except ValueError:
+                raise ParseError("non-integer vector entry", lineno) from None
+            if any(e < 0 for e in entries):
+                raise ParseError("negative exponent", lineno)
+            if not names and not name_monomials and not vector_monomials:
+                for i in range(len(entries)):
+                    add_letter(f"x{i + 1}")
+            vector_monomials.append((entries, lineno))
+            continue
+        factors: dict[str, int] = {}
+        for token in line.split():
+            match = _REF_FACTOR_RE.match(token)
+            if not match:
+                raise ParseError(f"malformed factor {token!r}", lineno)
+            name, exp = match.group(1), match.group(2)
+            k = 1 if exp is None else int(exp)
+            if k < 0:
+                raise ParseError("negative exponent", lineno)
+            add_letter(name)
+            factors[name] = factors.get(name, 0) + k
+        name_monomials.append((factors, lineno))
+
+    if not names:
+        raise ParseError("no letters and no monomials in input")
+    alphabet = Alphabet(tuple(names))
+    monomials: list[Monomial] = []
+    for entries, lineno in vector_monomials:
+        if len(entries) != alphabet.size:
+            raise ParseError(
+                f"vector length {len(entries)} does not match {alphabet.size} letters",
+                lineno,
+            )
+        monomials.append(Monomial(entries))
+    for factors, lineno in name_monomials:
+        e = [0] * alphabet.size
+        for name, k in factors.items():
+            e[alphabet.index(name)] += k
+        monomials.append(Monomial(tuple(e)))
+
+    ordering = None
+    if order_names is not None:
+        tokens, lineno = order_names
+        ordering = _ref_ordering_from_names(tokens, alphabet, lineno)
+    return alphabet, monomial_set(monomials), ordering
+
+
+LETTER_POOL = ("a", "b", "c", "x1", "x2", "y_0", "Z")
+HUGE = 2**63
+
+
+def corpus_file(rng):
+    """A generated monomial file and the members its lines spell, in file order.
+
+    Each member is ``("vec", entries)`` or ``("names", [(name, power), ...])``.
+    Lines are mostly well formed; each kind of defect turns up now and then.
+    A total degree past 2**63 - 1 is only ever the last member line: the
+    referee checked every vector line before any name line, so it reports a
+    vector line's error ahead of an earlier overflowing name line (see
+    ``test_parse_reports_the_first_bad_member``).
+    """
+    letters = rng.sample(LETTER_POOL, rng.randint(1, 4))
+    lines, members = [], []
+
+    def odd(p=0.03):
+        return rng.random() < p
+
+    def letters_line():
+        names = list(letters)
+        if odd(0.05):
+            names = []
+        elif odd(0.05):
+            names.append(names[0])
+        elif odd(0.05):
+            names.append(rng.choice(["1a", "a^2", "a-b", "b^"]))
+        return "letters: " + " ".join(names)
+
+    def order_line():
+        names = list(letters)
+        rng.shuffle(names)
+        if odd(0.05):
+            names.pop()
+        elif odd(0.05):
+            names.append(rng.choice(LETTER_POOL))
+        return "order: " + " ".join(names)
+
+    def vector_line():
+        size = len(letters) if not odd(0.15) else rng.randint(0, 5)
+        entries = [rng.randint(0, 3) for _ in range(size)]
+        parts = [str(e) for e in entries]
+        if parts and odd():
+            parts[rng.randrange(len(parts))] = rng.choice(["-1", "1.5", "x", ""])
+        text = "[" + rng.choice([", ", ",", " , "]).join(parts) + "]"
+        if odd():
+            text = text[:-1]
+        members.append(("vec", tuple(entries)))
+        return text
+
+    def name_line():
+        factors, tokens = [], []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(letters) if not odd(0.1) else rng.choice(LETTER_POOL)
+            k = rng.choice([None, 0, 1, 2, 3])
+            tokens.append(name if k is None else f"{name}^{k}")
+            factors.append((name, 1 if k is None else k))
+        if odd():
+            tokens[-1] = rng.choice(["a^", "a^-1", "2a", "a^^2", "a*b"])
+        members.append(("names", factors))
+        return " ".join(tokens)
+
+    if rng.random() < 0.6:
+        lines.append(letters_line())
+    for _ in range(rng.randint(0, 6) or rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["", "   ", "# comment"]))
+        elif roll < 0.09:
+            lines.append(order_line())
+        elif roll < 0.11:
+            lines.append(letters_line())
+        elif roll < 0.55:
+            lines.append(vector_line())
+        else:
+            lines.append(name_line())
+        if odd(0.1):
+            lines[-1] += "  # trailing"
+    if odd(0.2):
+        lines.append(order_line())
+    if odd():
+        if rng.random() < 0.5:
+            lines.append(f"{letters[0]}^{HUGE}")
+            members.append(("names", [(letters[0], HUGE)]))
+        else:
+            entries = (HUGE,) + (0,) * (len(letters) - 1)
+            lines.append("[" + ", ".join(map(str, entries)) + "]")
+            members.append(("vec", entries))
+    return "\n".join(lines) + rng.choice(["", "\n"]), members
+
+
+def member_rows(members, alphabet):
+    rows = []
+    for kind, data in members:
+        if kind == "vec":
+            rows.append(data)
+        else:
+            e = [0] * alphabet.size
+            for name, k in data:
+                e[alphabet.names.index(name)] += k
+            rows.append(tuple(e))
+    return rows
+
+
+def test_one_pass_reader_matches_two_list_referee():
+    rng = random.Random(2024)
+    errors, reordered, parsed = Counter(), 0, 0
+    for _ in range(4000):
+        text, members = corpus_file(rng)
+        got = result_of(parse_monomial_file, text)
+        want = result_of(referee_parse_monomial_file, text)
+        if want[0] == "error":
+            assert got == want, text
+            errors[re.sub(r"^line \d+: |'.*'|\d+", "", want[2])] += 1
+            continue
+        assert got[0] == "value", (text, got)
+        alphabet, monomials, ordering = got[1]
+        assert (alphabet, ordering) == (want[1][0], want[1][2]), text
+        rows = member_rows(members, alphabet)
+        vectors_first = [r for (kind, _), r in zip(members, rows) if kind == "vec"]
+        vectors_first += [r for (kind, _), r in zip(members, rows) if kind == "names"]
+        # the same members; the referee put vector lines first
+        assert monomials == monomial_set(Monomial(r) for r in rows), text
+        assert want[1][1] == monomial_set(Monomial(r) for r in vectors_first), text
+        reordered += monomials != want[1][1]
+        parsed += 1
+    # every error path is reached, and so is the new member order
+    assert set(errors) == {
+        "duplicate letters declaration", "letters declaration after a monomial",
+        "empty letters declaration", "duplicate letter declaration", "bad letter name ",
+        "duplicate order declaration", "unterminated vector", "non-integer vector entry",
+        "negative exponent", "malformed factor ", "no letters and no monomials in input",
+        "vector length  does not match  letters", "order must list every letter exactly once",
+        "total degree  exceeds the -bit limit",
+    }, errors
+    assert reordered > 100 and parsed > 1000, (reordered, parsed)
+
+
+def test_parse_reports_the_first_bad_member():
+    # a name line past the 64-bit limit before a vector of the wrong length:
+    # members are checked in file order
+    text = f"letters: a b\na^{HUGE}\n[1]\n"
+    with pytest.raises(ExponentOverflowError):
+        parse_monomial_file(text)
+    with pytest.raises(ParseError, match="line 3: vector length 1 does not match 2 letters"):
+        referee_parse_monomial_file(text)
+
+
+MONOMIAL_CALLS = (
+    ["reduce"], ["check-fg"], ["generators"], ["generators", "--raw"], ["gb-lift"],
+    ["is-cool"], ["find-cool"], ["all-cool"], ["preimage-fg"],
+    ["oracle", "--target", "sorted", "--cap", "6"],
+    ["oracle", "--target", "preimage", "--cap", "6"], ["convexity"],
+)
+
+
+@pytest.mark.parametrize(
+    "header, members",
+    [
+        ("letters: a b c\norder: b a c", ["a b^2 c", "[3, 1, 0]", "c^2"]),
+        ("letters: a b c\norder: c a b", ["a^2", "[0, 2, 0]", "b c", "[1, 0, 1]"]),
+        ("letters: a b\norder: a b", ["a b", "[2, 0]", "b^3"]),
+        ("letters: a b c\norder: a b c", ["a", "[1, 0, 0]", "b^2"]),  # not an antichain
+    ],
+)
+def test_member_order_changes_no_command_output(tmp_path, capsys, header, members):
+    f = tmp_path / "m.mon"
+    seen = None
+    for perm in itertools.permutations(members):
+        f.write_text(header + "\n" + "\n".join(perm) + "\n")
+        got = [outcome(capsys, [call[0], str(f), *call[1:]]) for call in MONOMIAL_CALLS]
+        assert got == (seen or got), perm
+        seen = got
+    assert {code for code, _, _ in seen} <= {0, 1, 2}
 
 
 def test_parse_nae_and_cnf():

@@ -29,7 +29,7 @@ from monoideal.crosscheck import (
 from monoideal.torientation import ordering_to_orientation, is_valid_t_orientation
 from monoideal.word_oracle import finiteness_probe
 
-from conftest import M
+from conftest import M, internal_letters
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
 
@@ -234,8 +234,6 @@ def test_max_degree_letter_never_internal():
         ord = res.ordering
         n = members[0].n
         for w in members:
-            from monoideal.core import internal_letters
-
             for x in internal_letters(w, ord):
                 assert w.exponents[x] < max(m.exponents[x] for m in members)
 

@@ -1,6 +1,8 @@
+import ast
 import enum
 import inspect
 import itertools
+import pathlib
 import random
 import re
 
@@ -324,6 +326,23 @@ def test_ordering_basics():
             Ordering(rank)
 
 
+@pytest.mark.parametrize("seq", [(0, True), (True, 0), (0, 1.5), ("a", 0), (0, 0), (0, 2)])
+def test_from_sequence_takes_permutations_only(seq):
+    # one rule with the rank check: bools, floats and strings are not letters
+    with pytest.raises(MonoidealError) as info:
+        Ordering.from_sequence(seq)
+    assert type(info.value) is MonoidealError
+    assert str(info.value) == "ordering sequence must list each letter once"
+
+
+def test_from_sequence_inverts_the_rank():
+    for n in range(5):
+        for seq in itertools.permutations(range(n)):
+            o = Ordering.from_sequence(seq)
+            assert o.sequence() == seq
+            assert all(o.rank[x] == pos for pos, x in enumerate(seq))
+
+
 def test_formatting():
     assert format_monomial(Monomial((1, 2, 1)), ABC) == "a b^2 c"
     assert format_monomial(Monomial((0, 0, 0)), ABC) == "1"
@@ -580,3 +599,30 @@ def test_every_entry_reads_its_set_once(name, case):
     call = SET_ENTRIES[name]
     ms, o = ONE_PASS_CASES[case]
     assert _outcome(lambda: call(iter, ms, o)) == _outcome(lambda: call(tuple, ms, o))
+
+
+def test_no_dead_private_names():
+    # every module-level name with one leading underscore is read somewhere
+    # in the package, so a helper whose last caller went is noticed
+    package = pathlib.Path(core.__file__).parent
+    defined, used = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (
+                [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                else node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", ""))
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.add((path.stem, name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert {f"{module}.{name}" for module, name in defined if name not in used} == set()

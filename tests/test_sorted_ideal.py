@@ -24,8 +24,6 @@ from monoideal.core import (
     extremal_degree_max,
     extremal_internal,
     format_word,
-    internal_letters,
-    is_extremal,
     sigma,
     sorted_words,
     support,
@@ -47,7 +45,7 @@ from monoideal.sorted_ideal import (
 )
 from monoideal.word_oracle import finiteness_probe, sorted_ideal_report
 
-from conftest import M, W, outcome
+from conftest import M, W, internal_letters, is_extremal, outcome
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
 ABC = Ordering.identity(3)  # a < b < c
