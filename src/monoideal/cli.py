@@ -395,8 +395,8 @@ def _load_system(path: str) -> IneqSystem:
 
 def _parse_vector(raw: str) -> tuple[int, ...]:
     body = raw.strip()
-    if body.startswith("["):
-        body = body[1:-1] if body.endswith("]") else body[1:]
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
     try:
         return tuple(int(p) for p in body.replace(",", " ").split())
     except ValueError:

@@ -14,6 +14,7 @@ not scanned; its size only serves the lattice budget.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -110,8 +111,10 @@ def _check_vector(sys: IneqSystem, x: Sequence[int]) -> tuple[int, ...]:
 
 
 def _member(sys: IneqSystem, x: Sequence[int]) -> bool:
-    # unchecked kernel: x has the system's length and no negative entry
-    ax = [sum(a * v for a, v in zip(row, x)) for row in sys.rows]
+    # unchecked kernel: x has the system's length and no negative entry.  An
+    # entry may be math.inf; summing over the nonzero a only, a row that
+    # meets it is met, and 0 * inf (NaN) never arises
+    ax = [sum(a * v for a, v in zip(row, x) if a) for row in sys.rows]
     return _some_row_divides(sys.thresholds, ax)
 
 
@@ -237,19 +240,15 @@ def union(systems: Sequence[IneqSystem]) -> IneqSystem:
             raise MonoidealError("union requires a common column count")
         if len(s.thresholds) != 1:
             raise MonoidealError("union takes systems with a single threshold each")
-    rows: list[tuple[int, ...]] = []
-    offsets = []
-    for s in systems:
-        offsets.append(len(rows))
-        rows.extend(s.rows)
-    total = len(rows)
+    rows = [row for s in systems for row in s.rows]
     thresholds = []
-    for s, off in zip(systems, offsets):
-        w = [0] * total
-        w[off : off + len(s.rows)] = list(s.thresholds[0])
-        thresholds.append(tuple(w))
-    names = systems[0].names
-    return IneqSystem.make(rows, thresholds, names)
+    offset = 0
+    for s in systems:
+        w = [0] * len(rows)
+        w[offset : offset + len(s.rows)] = s.thresholds[0]
+        thresholds.append(w)
+        offset += len(s.rows)
+    return IneqSystem.make(rows, thresholds, systems[0].names)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +287,36 @@ def _fourier_motzkin_feasible(
 def _hull_test(rows: Sequence[tuple[int, ...]]) -> Callable[[Sequence[int]], bool]:
     """Whether a point dominates a convex combination of the rows.
 
-    The constraints that do not depend on the point are built once; each
-    test adds only the right-hand sides of the per-column constraints.
+    A point above the hull of the rows lies above the hull of at most n of
+    them (Caratheodory): pushed down along -(1, ..., 1) to the boundary of
+    the hull plus the orthant, it lies in a proper face, of dimension at
+    most n - 1.  So each test tries every subset of min(k, max(n, 1)) rows,
+    and Fourier-Motzkin eliminates at most n - 1 variables; with k <= n
+    the one subset is the rows in their order.  The constraints that do not
+    depend on the point are built once; each test adds only the right-hand
+    sides of the per-column constraints.
     """
-    last = rows[-1]
-    # variables lam_0..lam_{k-2}; lam_{k-1} = 1 - sum of the others
-    nv = len(rows) - 1
+    n = len(rows[0])
+    # variables lam_0..lam_{nv-1}; a subset's last row has 1 - sum of the others
+    nv = min(len(rows), max(n, 1)) - 1
     fixed: list[tuple[list[int], int]] = []
     for i in range(nv):
         coeffs = [0] * nv
         coeffs[i] = -1
         fixed.append((coeffs, 0))  # lam_i >= 0
     fixed.append(([1] * nv, 1))  # lam_last >= 0
-    columns = [[row[j] - last[j] for row in rows[:nv]] for j in range(len(last))]
+    subsets = [
+        (subset[-1], [[row[j] - subset[-1][j] for row in subset[:nv]] for j in range(n)])
+        for subset in itertools.combinations(rows, nv + 1)
+    ]
 
     def test(x: Sequence[int]) -> bool:
-        cons = fixed + [(c, xj - lj) for c, xj, lj in zip(columns, x, last)]
-        return _fourier_motzkin_feasible(cons, nv)
+        return any(
+            _fourier_motzkin_feasible(
+                fixed + [(c, xj - lj) for c, xj, lj in zip(columns, x, last)], nv
+            )
+            for last, columns in subsets
+        )
 
     return test
 
@@ -391,19 +403,6 @@ class Certificate:
         )
 
 
-def _no_member_on(sys: IneqSystem, z: int, t: int | None = None) -> bool:
-    # no vector of shape (z arbitrary, t once when given, rest zero) belongs:
-    # every threshold has a row demanding more than t supplies, where z
-    # cannot supply anything
-    return all(
-        any(
-            wi > (0 if t is None else row[t]) and row[z] == 0
-            for wi, row in zip(w, sys.rows)
-        )
-        for w in sys.thresholds
-    )
-
-
 def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
     """Check a claimed negative certificate in polynomial time."""
     m = _check_vector(sys, cert.generator)
@@ -416,38 +415,30 @@ def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
     if z is None or not 0 <= z < sys.ncols:
         raise MonoidealError("certificate letter out of range")
 
+    # both letter certificates claim that no member exists once z is
+    # raised without bound
     if cert.kind == "preimage_not_fg":
         if sum(v for i, v in enumerate(m) if i != z) < 2:
             return False
-        return _no_member_on(sys, z) and all(
-            _no_member_on(sys, z, t) for t, v in enumerate(m) if t != z and v > 0
+        # membership is closed upward, so z alone needs no test of its own
+        return not any(
+            _member(sys, [math.inf if i == z else int(i == t) for i in range(sys.ncols)])
+            for t, v in enumerate(m)
+            if t != z and v > 0
         )
 
     # sorted_not_fg
     ordering = cert.ordering or Ordering.identity(sys.ncols)
     if ordering.n != sys.ncols:
         raise MonoidealError("certificate ordering does not match the columns")
-    supp = [i for i, v in enumerate(m) if v > 0]
-    if not supp:
+    rank = ordering.rank
+    ranks = [rank[i] for i, v in enumerate(m) if v > 0]
+    if not ranks or not min(ranks) < rank[z] < max(ranks):
         return False
-    lo = min(supp, key=lambda i: ordering.rank[i])
-    hi = max(supp, key=lambda i: ordering.rank[i])
-    if not (ordering.rank[lo] < ordering.rank[z] < ordering.rank[hi]):
-        return False
-    kept = [i for i, row in enumerate(sys.rows) if row[z] == 0]
-    sub = IneqSystem.make(
-        [sys.rows[i] for i in kept],
-        [tuple(w[i] for i in kept) for w in sys.thresholds],
-    )
-    m_left = tuple(
-        v if ordering.rank[i] <= ordering.rank[z] else 0 for i, v in enumerate(m)
-    )
-    m_right = tuple(
-        v if ordering.rank[i] >= ordering.rank[z] else 0 for i, v in enumerate(m)
-    )
-    # with no surviving rows, the subsystem accepts everything whenever it
-    # has a threshold, whatever the vectors' length
-    return not _member(sub, m_left) and not _member(sub, m_right)
+    left = [v if rank[i] < rank[z] else 0 for i, v in enumerate(m)]
+    right = [v if rank[i] > rank[z] else 0 for i, v in enumerate(m)]
+    left[z] = right[z] = math.inf
+    return not _member(sys, left) and not _member(sys, right)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ class _Solver:
     so the first solution found is deterministic.
     """
 
-    def __init__(self, g: TGraph, forced: Iterable[tuple[int, int]] = ()):
+    def __init__(self, g: TGraph):
         self.g = g
         self.index: dict[tuple[int, int], int] = {}
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
@@ -140,10 +140,6 @@ class _Solver:
         self.branch_order = sorted(
             range(len(g.edges)), key=lambda i: -len(g.tset.intersection(g.edges[i]))
         )
-        self.initial_forced = list(forced)
-        for tail, head in self.initial_forced:
-            if (tail, head) not in self.index:
-                raise MonoidealError(f"forced arc {tail}->{head} is not a graph edge")
 
     def _reaches(self, src: int, dst: int) -> bool:
         seen = {src}
@@ -196,12 +192,6 @@ class _Solver:
 
     def solve(self, limit: int | None) -> list[Orientation]:
         solutions: list[Orientation] = []
-        queue: list[int] = []
-        for tail, head in self.initial_forced:
-            if not self._assign(tail, head, queue):
-                return solutions
-        if not self._propagate(queue):
-            return solutions
 
         def descend() -> bool:
             i = next((i for i in self.branch_order if self.arcs[i] is None), None)
@@ -236,10 +226,8 @@ def t_orientation_search_stats(g: TGraph) -> tuple[Orientation | None, int]:
     return (solutions[0] if solutions else None), solver.nodes
 
 
-def enumerate_t_orientations(
-    g: TGraph, forced: Iterable[tuple[int, int]] = ()
-) -> list[Orientation]:
-    return _Solver(g, forced).solve(limit=None)
+def enumerate_t_orientations(g: TGraph) -> list[Orientation]:
+    return _Solver(g).solve(limit=None)
 
 
 # Edges past which the brute force refuses a graph: 2^20 assignments.

@@ -545,6 +545,10 @@ def test_cli_poly_commands(tmp_path, capsys):
     assert code == 0 and payload == {"member": True}
     code, payload = run(capsys, "poly-member", str(sys_file), "--vector", "[1,1]")
     assert code == 1
+    # brackets are stripped only as a pair, as in a .mon file
+    for bad in ("[1,2", "1,2]"):
+        code, payload = run(capsys, "poly-member", str(sys_file), "--vector", bad)
+        assert code == 2 and payload == {"error": f"bad vector {bad!r}"}
 
     code, payload = run(capsys, "poly-mingens", str(sys_file))
     assert code == 0 and len(payload["minimal_generators"]) == 4
@@ -612,6 +616,11 @@ def test_cli_reduce_sat_and_convexity(tmp_path, capsys):
 
     mon = tmp_path / "m.mon"
     mon.write_text("[2,0]\n[0,2]\n")
+    code, payload = run(capsys, "convexity", str(mon))
+    assert code == 1 and payload == {"convex": False}
+
+    # ten members on two letters: the hull test tries them two at a time
+    mon.write_text("".join(f"[{i},{2 * (10 - i) + i % 2}]\n" for i in range(10)))
     code, payload = run(capsys, "convexity", str(mon))
     assert code == 1 and payload == {"convex": False}
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoideal import polyhedral
 from monoideal.core import (
     BudgetExceededError,
     Monomial,
@@ -14,10 +15,13 @@ from monoideal.core import (
     divides,
     is_antichain,
 )
+from monoideal.crosscheck import antichains
 from monoideal.polyhedral import (
     Certificate,
     IneqSystem,
     SatInstance,
+    _check_vector,
+    _is_minimal,
     brute_force_sat,
     convexity_check,
     enumerate_minimal_generators,
@@ -31,7 +35,7 @@ from monoideal.polyhedral import (
     verify_certificate,
 )
 
-from conftest import M
+from conftest import M, outcome
 
 HALF_PLANE5 = IneqSystem.make([[1, 1]], [[5]])
 
@@ -123,9 +127,9 @@ def _box_scan_generators(sys_):
     )
 
 
-def _random_system(rng):
-    ncols = rng.randint(1, 4)
-    rows = [[rng.randint(0, 3) for _ in range(ncols)] for _ in range(rng.randint(0, 3))]
+def _random_system(rng, max_cols=4, max_rows=3):
+    ncols = rng.randint(1, max_cols)
+    rows = [[rng.randint(0, 3) for _ in range(ncols)] for _ in range(rng.randint(0, max_rows))]
     thresholds = [[rng.randint(0, 3) for _ in rows] for _ in range(rng.randint(0, 3))]
     names = [f"v{j}" for j in range(ncols)] if not rows or rng.random() < 0.3 else None
     return IneqSystem.make(rows, thresholds, names)
@@ -274,6 +278,48 @@ def test_union_matches_disjunction_on_random_vectors():
         assert membership(combined, x) == any(membership(s, x) for s in systems)
 
 
+def _ref_union(systems):
+    """The union as it was with an offsets list and a second loop (referee)."""
+    if not systems:
+        raise MonoidealError("union of no systems")
+    n = systems[0].ncols
+    for s in systems:
+        if s.ncols != n:
+            raise MonoidealError("union requires a common column count")
+        if len(s.thresholds) != 1:
+            raise MonoidealError("union takes systems with a single threshold each")
+    rows: list[tuple[int, ...]] = []
+    offsets = []
+    for s in systems:
+        offsets.append(len(rows))
+        rows.extend(s.rows)
+    total = len(rows)
+    thresholds = []
+    for s, off in zip(systems, offsets):
+        w = [0] * total
+        w[off : off + len(s.rows)] = list(s.thresholds[0])
+        thresholds.append(tuple(w))
+    names = systems[0].names
+    return IneqSystem.make(rows, thresholds, names)
+
+
+def test_union_matches_offsets_referee():
+    rng = random.Random(23)
+    for _ in range(2000):
+        systems = []
+        for _ in range(rng.randint(0, 4)):
+            ncols = rng.choice((2, 2, 2, 3))
+            nrows = rng.randint(0, 3)
+            rows = [[rng.randint(0, 2) for _ in range(ncols)] for _ in range(nrows)]
+            thresholds = [
+                [rng.randint(0, 3) for _ in range(nrows)]
+                for _ in range(rng.choice((1, 1, 1, 0, 2)))
+            ]
+            names = rng.choice((None, [f"v{j}" for j in range(ncols)]))
+            systems.append(IneqSystem.make(rows, thresholds, names))
+        assert outcome(union, systems) == outcome(_ref_union, systems)
+
+
 def test_union_requires_single_threshold():
     with pytest.raises(MonoidealError):
         union([HALF_PLANE5, IneqSystem.make([[1, 1]], [[1], [2]])])
@@ -288,17 +334,115 @@ def test_hull_membership():
     assert not in_hull_plus_orthant(M((3, 1),), (2, 5))
 
 
+def _ref_fourier_motzkin_feasible(constraints, nvars):
+    """Fourier-Motzkin elimination over the integers (referee copy)."""
+    cons = constraints
+    for var in range(nvars - 1, -1, -1):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs in cons:
+            c = coeffs[var]
+            if c > 0:
+                pos.append((coeffs, rhs))
+            elif c < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        for (pc, pr), (nc, nr) in itertools.product(pos, neg):
+            scale_p, scale_n = -nc[var], pc[var]
+            coeffs = [
+                scale_p * pc[i] + scale_n * nc[i] for i in range(var)
+            ]
+            rest.append((coeffs + [0] * (nvars - var), scale_p * pr + scale_n * nr))
+        cons = rest
+    return all(rhs >= 0 for _, rhs in cons)
+
+
+def _ref_hull_test(rows):
+    """The hull test over the whole set, one variable per member but one (referee)."""
+    last = rows[-1]
+    # variables lam_0..lam_{k-2}; lam_{k-1} = 1 - sum of the others
+    nv = len(rows) - 1
+    fixed = []
+    for i in range(nv):
+        coeffs = [0] * nv
+        coeffs[i] = -1
+        fixed.append((coeffs, 0))  # lam_i >= 0
+    fixed.append(([1] * nv, 1))  # lam_last >= 0
+    columns = [[row[j] - last[j] for row in rows[:nv]] for j in range(len(last))]
+
+    def test(x):
+        cons = fixed + [(c, xj - lj) for c, xj, lj in zip(columns, x, last)]
+        return _ref_fourier_motzkin_feasible(cons, nv)
+
+    return test
+
+
 def _convexity_by_hull_scan(M):
-    """The referee: the hull test on every box point, then divisibility."""
+    """The referee: the whole-set hull test on every box point, then divisibility."""
     if not M:
         return True
     n = M[0].n
     top = max(m.degree for m in M) + 1
+    in_hull = _ref_hull_test([m.exponents for m in M])
     for point in itertools.product(range(top + 1), repeat=n):
-        if in_hull_plus_orthant(M, point):
+        if in_hull(point):
             if not any(divides(m, Monomial(point)) for m in M):
                 return False
     return True
+
+
+def _hull_sets_with_more_members_than_letters():
+    yield from (ms for ms in antichains(2, 6) if len(ms) > 2)
+    rng = random.Random(5)
+    for _ in range(25):
+        k = rng.randint(4, 6)
+        while True:
+            members = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(k)}
+            ms = M(*members)
+            if len(ms) == k and all(m.degree for m in ms) and is_antichain(ms):
+                break
+        yield ms
+
+
+def test_hull_subsets_match_whole_set_referee():
+    checked = 0
+    for ms in _hull_sets_with_more_members_than_letters():
+        rows = [m.exponents for m in ms]
+        in_hull, referee = polyhedral._hull_test(rows), _ref_hull_test(rows)
+        top = max(m.degree for m in ms) + 1
+        convex = True
+        # the box of the convexity scan, less the points a member divides
+        for point in itertools.product(range(top + 1), repeat=ms[0].n):
+            if any(divides(m, Monomial(point)) for m in ms):
+                continue
+            verdict = referee(point)
+            assert in_hull(point) == verdict, (ms, point)
+            convex = convex and not verdict
+        assert in_hull_plus_orthant(ms, (top,) * ms[0].n)
+        assert convexity_check(ms) == convex, ms
+        checked += 1
+    assert checked == 1230
+    # no letters: the empty monomial lies above itself
+    assert in_hull_plus_orthant([Monomial(())], ()) and _ref_hull_test([()])(())
+    assert convexity_check([Monomial(())]) == _convexity_by_hull_scan(M(()))
+
+
+@pytest.mark.parametrize(
+    "members",
+    [((4, 0), (3, 1), (1, 3), (0, 4)), tuple((i, 2 * (10 - i) + i % 2) for i in range(10))],
+    ids=["four", "ten"],
+)
+def test_hull_eliminates_at_most_n_minus_one_variables(monkeypatch, members):
+    seen = []
+    feasible = polyhedral._fourier_motzkin_feasible
+
+    def recording(constraints, nvars):
+        seen.append(nvars)
+        return feasible(constraints, nvars)
+
+    monkeypatch.setattr(polyhedral, "_fourier_motzkin_feasible", recording)
+    assert not convexity_check(M(*members))
+    assert seen and max(seen) <= 1  # n - 1 for two letters
 
 
 def test_convexity_matches_hull_scan_on_small_antichains():
@@ -364,6 +508,107 @@ def test_certificate_validation():
         Certificate("preimage_not_fg", (1, 1))  # letter required
     with pytest.raises(MonoidealError):
         verify_certificate(HALF_PLANE5, Certificate("support3", (1, 1, 1)))
+
+
+def _ref_member(sys_, x):
+    ax = [sum(a * v for a, v in zip(row, x)) for row in sys_.rows]
+    return any(all(wi <= ai for wi, ai in zip(w, ax)) for w in sys_.thresholds)
+
+
+def _ref_no_member_on(sys, z, t=None):
+    # no vector of shape (z arbitrary, t once when given, rest zero) belongs:
+    # every threshold has a row demanding more than t supplies, where z
+    # cannot supply anything
+    return all(
+        any(
+            wi > (0 if t is None else row[t]) and row[z] == 0
+            for wi, row in zip(w, sys.rows)
+        )
+        for w in sys.thresholds
+    )
+
+
+def _ref_verify_certificate(sys, cert):
+    """The verifier with a hand-written preimage test and a per-certificate
+    subsystem of the rows that miss the letter (referee copy)."""
+    m = _check_vector(sys, cert.generator)
+    if not _is_minimal(sys, m):
+        return False
+    if cert.kind == "support3":
+        return sum(1 for v in m if v > 0) >= 3
+
+    z = cert.letter
+    if z is None or not 0 <= z < sys.ncols:
+        raise MonoidealError("certificate letter out of range")
+
+    if cert.kind == "preimage_not_fg":
+        if sum(v for i, v in enumerate(m) if i != z) < 2:
+            return False
+        return _ref_no_member_on(sys, z) and all(
+            _ref_no_member_on(sys, z, t) for t, v in enumerate(m) if t != z and v > 0
+        )
+
+    # sorted_not_fg
+    ordering = cert.ordering or Ordering.identity(sys.ncols)
+    if ordering.n != sys.ncols:
+        raise MonoidealError("certificate ordering does not match the columns")
+    supp = [i for i, v in enumerate(m) if v > 0]
+    if not supp:
+        return False
+    lo = min(supp, key=lambda i: ordering.rank[i])
+    hi = max(supp, key=lambda i: ordering.rank[i])
+    if not (ordering.rank[lo] < ordering.rank[z] < ordering.rank[hi]):
+        return False
+    kept = [i for i, row in enumerate(sys.rows) if row[z] == 0]
+    sub = IneqSystem.make(
+        [sys.rows[i] for i in kept],
+        [tuple(w[i] for i in kept) for w in sys.thresholds],
+    )
+    m_left = tuple(
+        v if ordering.rank[i] <= ordering.rank[z] else 0 for i, v in enumerate(m)
+    )
+    m_right = tuple(
+        v if ordering.rank[i] >= ordering.rank[z] else 0 for i, v in enumerate(m)
+    )
+    # with no surviving rows, the subsystem accepts everything whenever it
+    # has a threshold, whatever the vectors' length
+    return not _ref_member(sub, m_left) and not _ref_member(sub, m_right)
+
+
+def test_verify_certificate_matches_subsystem_referee():
+    rng = random.Random(11)
+    calls = accepted = 0
+    for _ in range(400):
+        sys_ = _random_system(rng, max_cols=5, max_rows=4)
+        ncols = sys_.ncols
+        vectors = list(enumerate_minimal_generators(sys_)) + [(0,) * ncols] + [
+            tuple(rng.randint(0, 3) for _ in range(ncols)) for _ in range(2)
+        ]
+        for x in vectors:
+            order = list(range(ncols))
+            rng.shuffle(order)
+            for ordering in (None, Ordering.from_sequence(tuple(order))):
+                for kind in ("support3", "preimage_not_fg", "sorted_not_fg"):
+                    for z in range(-1, ncols + 1):
+                        cert = Certificate(kind, x, z, ordering)
+                        got = outcome(verify_certificate, sys_, cert)
+                        assert got == outcome(_ref_verify_certificate, sys_, cert), cert
+                        calls += 1
+                        accepted += got == ("value", True)
+    assert calls > 10_000 and accepted > 100
+
+
+def test_letter_certificates_ask_membership_with_the_letter_unbounded():
+    # the hand-written preimage test, on every shape it was asked about
+    rng = random.Random(3)
+    for _ in range(500):
+        sys_ = _random_system(rng, max_rows=4)
+        ncols = sys_.ncols
+        for z in range(ncols):
+            for t in [None] + [t for t in range(ncols) if t != z]:
+                x = [1 if i == t else 0 for i in range(ncols)]
+                x[z] = float("inf")
+                assert (not polyhedral._member(sys_, x)) == _ref_no_member_on(sys_, z, t)
 
 
 def test_certificate_json_round_trip():

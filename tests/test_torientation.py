@@ -60,6 +60,11 @@ def test_top_hat_shape():
     assert g.tset == {1, 2, 6}
 
 
+def _containing(g, arcs):
+    """The valid T-orientations of g that direct each of ``arcs`` as given."""
+    return [o for o in enumerate_t_orientations(g) if o.arc_set() >= set(arcs)]
+
+
 def test_top_hat_fact_one():
     g = top_hat()
     valid = brute_force_t_orientations(g)
@@ -73,8 +78,8 @@ def test_top_hat_fact_one():
     assert (5, 4) in o
     # the engine agrees, in both directions
     assert len(enumerate_t_orientations(g)) == 2
-    assert len(enumerate_t_orientations(g, forced=[(1, 2)])) == 1
-    assert len(enumerate_t_orientations(g, forced=[(2, 1)])) == 1
+    assert len(_containing(g, [(1, 2)])) == 1
+    assert len(_containing(g, [(2, 1)])) == 1
 
 
 def test_search_agrees_with_brute_force_on_random_graphs():
@@ -129,10 +134,8 @@ def test_search_stats_pinned(g, nodes, sequence):
 
 def test_forced_directed_triangle_has_no_extension():
     g = TGraph.make(4, [(0, 1), (1, 2), (0, 2), (2, 3)], ())
-    assert enumerate_t_orientations(g, forced=[(0, 1), (1, 2), (2, 0)]) == []
-    assert len(enumerate_t_orientations(g, forced=[(0, 1), (1, 2), (0, 2)])) == 2
-    with pytest.raises(MonoidealError):
-        enumerate_t_orientations(g, forced=[(0, 1), (1, 0), (1, 3)])
+    assert _containing(g, [(0, 1), (1, 2), (2, 0)]) == []
+    assert len(_containing(g, [(0, 1), (1, 2), (0, 2)])) == 2
 
 
 def test_gadget3_shape():
@@ -150,7 +153,7 @@ def test_gadget3_fact_two():
             (b, a) if flip else (a, b)
             for (a, b), flip in zip(GADGET3_SPECIAL_EDGES, flips)
         ]
-        extensions = enumerate_t_orientations(g, forced=forced)
+        extensions = _containing(g, forced)
         if len(set(flips)) == 1:  # all three directed the same way
             assert extensions == []
         else:
