@@ -24,7 +24,7 @@ from .core import (
     monomial_set,
     support,
 )
-from .sorted_ideal import _cover_supports, _has_extremal_cover, is_fg_sorted
+from .sorted_ideal import _cover_supports, _first_violator, _has_extremal_cover
 from .torientation import (
     TGraph,
     orientation_to_ordering,
@@ -40,8 +40,12 @@ class CoolSearchResult:
 
 
 def is_cool(M: Sequence[Monomial], ord: Ordering) -> bool:
-    """Whether the sorted-word ideal of the antichain is finitely generated."""
-    return is_fg_sorted(M, ord).verdict
+    """Whether the sorted-word ideal of the antichain is finitely generated.
+
+    The verdict of :func:`is_fg_sorted`, without sorting the members to
+    find its witness.
+    """
+    return _first_violator(checked_antichain(M, ord.n), ord) is None
 
 
 def all_orderings_cool(M: Sequence[Monomial]) -> bool:

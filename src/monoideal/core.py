@@ -276,15 +276,23 @@ def _extremal_scan(
     return r, internals
 
 
+def _distinct_rows(
+    monomials: Iterable[Monomial],
+) -> tuple[tuple[Monomial, ...], list[tuple[int, ...]]]:
+    """The first member of each exponent row, in first-occurrence order, and
+    their rows; the rows are hashed as tuples, so no member hash runs in Python."""
+    first: dict[tuple[int, ...], Monomial] = {}
+    for m in monomials:
+        first.setdefault(m.exponents, m)
+    rows = list(first)
+    if len(set(map(len, rows))) > 1:
+        raise AlphabetMismatchError("monomial set mixes alphabet sizes")
+    return tuple(first.values()), rows
+
+
 def monomial_set(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Deduplicate, preserving first-occurrence order."""
-    out = tuple(dict.fromkeys(monomials))
-    if out:
-        n = out[0].n
-        for m in out:
-            if m.n != n:
-                raise AlphabetMismatchError("monomial set mixes alphabet sizes")
-    return out
+    return _distinct_rows(monomials)[0]
 
 
 def _some_row_divides(rows: Iterable[Sequence[int]], w: Sequence[int]) -> bool:
@@ -315,13 +323,13 @@ def _check_nonunit_rows(rows: Sequence[tuple[int, ...]], n: int | None) -> None:
 
 
 def is_antichain(M: Iterable[Monomial]) -> bool:
-    return _is_antichain_rows([m.exponents for m in monomial_set(M)])
+    return _is_antichain_rows(_distinct_rows(M)[1])
 
 
 def nonunit_set(M: Iterable[Monomial], n: int | None = None) -> tuple[Monomial, ...]:
     """The distinct members of ``M``: nonunits over one alphabet, of ``n`` letters if given."""
-    ms = monomial_set(M)
-    _check_nonunit_rows([m.exponents for m in ms], n)
+    ms, rows = _distinct_rows(M)
+    _check_nonunit_rows(rows, n)
     return ms
 
 
@@ -330,8 +338,7 @@ def checked_antichain(M: Iterable[Monomial], n: int | None = None) -> tuple[Mono
 
     A unit beside other members divides them, so it fails the antichain test.
     """
-    ms = monomial_set(M)
-    rows = [m.exponents for m in ms]
+    ms, rows = _distinct_rows(M)
     if not _is_antichain_rows(rows):
         raise NotAntichainError("M is not an antichain")
     _check_nonunit_rows(rows, n)
@@ -340,8 +347,7 @@ def checked_antichain(M: Iterable[Monomial], n: int | None = None) -> tuple[Mono
 
 def antichain_reduce(M: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal elements of ``M``; generates the same ideal."""
-    ms = monomial_set(M)
-    rows = [m.exponents for m in ms]
+    ms, rows = _distinct_rows(M)
     return tuple(
         m for i, m in enumerate(ms)
         if not _some_row_divides(rows[:i] + rows[i + 1 :], rows[i])
@@ -413,25 +419,50 @@ def extremal_degree_max(M: Iterable[Monomial], x: int, ord: Ordering) -> int:
 # ---------------------------------------------------------------------------
 # brute-force referee for clause instances
 
+def _assignment_column(i: int, variable_count: int) -> int:
+    """Bit ``b`` set exactly when bit ``i`` of ``b`` is, for ``b < 2**variable_count``.
+
+    The block of ``2**i`` zeros and then ``2**i`` ones is doubled by shifts;
+    a quotient of all-ones masks would be big-int division, quadratic here.
+    """
+    width = 1 << (i + 1)
+    column = ((1 << (1 << i)) - 1) << (1 << i)
+    while width < 1 << variable_count:
+        column |= column << width
+        width <<= 1
+    return column
+
+
 def some_assignment_passes(
     variable_count: int,
     clauses: Iterable[Sequence[int]],
-    clause_ok: Callable[[list[bool]], bool],
+    clause_ok: Callable[[list[int]], int],
 ) -> bool:
     """Whether some assignment of variables 1..n passes every clause.
 
-    ``clause_ok`` gets the truth values of a clause's literals (literal
-    ``k`` is true when variable ``k`` is, ``-k`` when it is not).
+    All ``2**n`` assignments are tried at once, one bit each: bit ``b``
+    stands for the assignment that makes variable ``k`` true when bit
+    ``k - 1`` of ``b`` is set.  ``clause_ok`` gets the bit columns of a
+    clause's literals (literal ``k`` is true where variable ``k`` is, ``-k``
+    where it is not) and returns the column of assignments that pass.
     """
     if variable_count > 24:
         raise MonoidealError("brute force limited to 24 variables")
-    for bits in range(1 << variable_count):
-        if all(
-            clause_ok([((bits >> (abs(l) - 1)) & 1) == (l > 0) for l in clause])
-            for clause in clauses
-        ):
-            return True
-    return False
+    full = (1 << (1 << variable_count)) - 1
+    columns: dict[int, int] = {}
+
+    def literal(lit: int) -> int:
+        k = abs(lit)
+        if k not in columns:
+            columns[k] = _assignment_column(k - 1, variable_count)
+        return columns[k] if lit > 0 else full ^ columns[k]
+
+    passing = full
+    for clause in clauses:
+        passing &= clause_ok([literal(lit) for lit in clause])
+        if not passing:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

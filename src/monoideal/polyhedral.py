@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -338,7 +340,9 @@ def convexity_check(
 
     Scans the box [0, maxdeg+1]^n: the ideal is convex iff no box point in
     the dominated-hull region lies outside the ideal.  Points that a
-    member divides are skipped before the exact feasibility test.
+    member divides are skipped before the exact feasibility test.  Each
+    box point may try every member subset of the hull test, so a scan of
+    more than ``budget`` (point, subset) pairs is refused before it starts.
     """
     ms = monomial_set(M)
     if not ms:
@@ -346,6 +350,12 @@ def convexity_check(
     n = ms[0].n
     top = max(m.degree for m in ms) + 1
     _check_box(top, n, budget)
+    points, subsets = (top + 1) ** n, math.comb(len(ms), min(len(ms), max(n, 1)))
+    if points * subsets > budget:
+        raise BudgetExceededError(
+            f"convexity scan of {points} box points times {subsets} member subsets "
+            f"= {points * subsets} hull tests exceeds the budget {budget}"
+        )
     exponents = [m.exponents for m in ms]
     in_hull = _hull_test(exponents)
     for point in itertools.product(range(top + 1), repeat=n):
@@ -466,7 +476,9 @@ class SatInstance:
 
 
 def brute_force_sat(inst: SatInstance) -> bool:
-    return some_assignment_passes(inst.variable_count, inst.clauses, any)
+    return some_assignment_passes(
+        inst.variable_count, inst.clauses, lambda cols: reduce(or_, cols)
+    )
 
 
 def _literal_column(lit: int, offset: int) -> int:

@@ -7,7 +7,8 @@ that letter extremal and divides the first member once the letter is
 erased.  This module decides that criterion, emits generating sets and
 minimal generators, evaluates the size bound, and lifts the answer to the
 leading-word data of a finite noncommutative Groebner basis.  The cover
-rule is one tuple kernel, ``_cover_supports``, shared with ``cool_orderings``.
+rule is one tuple kernel, ``_cover_supports``, shared with ``cool_orderings``,
+and ``_first_violator`` is the one scan for an uncovered letter.
 """
 
 from __future__ import annotations
@@ -90,15 +91,26 @@ def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
     has ``x`` extremal and, with ``x`` erased, divides ``w``.
     """
     ms = checked_antichain(M, ord.n)
+    violator = _first_violator(_scan_order(ms, ord), ord)
+    return FgWitness(violator is None, violator)
+
+
+def _first_violator(ms: Sequence[Monomial], ord: Ordering) -> tuple[Monomial, int] | None:
+    """The first member ``w`` of ``ms``, in the order given, with an internal
+    letter ``x`` that no member covers, and ``x``; None when there is none.
+
+    ``ms`` is a checked antichain.  Whether a violator exists does not depend
+    on the order of ``ms``; which one comes first does.
+    """
     rows = [m.exponents for m in ms]
-    seq = ord.sequence()
-    for w in _scan_order(ms, ord):
-        ranks = [ord.rank[y] for y, e in enumerate(w.exponents) if e]
+    rank, seq = ord.rank, ord.sequence()
+    for w in ms:
+        ranks = [rank[y] for y, e in enumerate(w.exponents) if e]
         for r in range(min(ranks) + 1, max(ranks)):
             x = seq[r]
             if not _has_extremal_cover(_cover_supports(rows, w.exponents, x), set(seq[:r])):
-                return FgWitness(False, (w, x))
-    return FgWitness(True, None)
+                return w, x
+    return None
 
 
 def fg_generating_set(

@@ -14,6 +14,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable
 
 from .core import MonoidealError, Ordering, ParseError, data_lines, some_assignment_passes
@@ -119,7 +121,8 @@ class _Solver:
     Propagation closes directed two-paths through T-vertices: an oriented
     pair forces the chord, and a missing chord forces the still-free half
     of the pair to point the same way at the T-vertex.  An arc is refused
-    when its head already reaches its tail; arcs are only ever added, so
+    when its head already reaches its tail along assigned arcs (``heads``
+    lists them per tail, in assignment order); arcs are only ever added, so
     this fails a branch exactly when the orientation it reaches is cyclic.
     Branching picks the free edge with the most endpoints in T (ties by
     edge index, as the sort is stable), trying the stored direction first,
@@ -135,6 +138,7 @@ class _Solver:
             self.adj[u].append((i, v))
             self.adj[v].append((i, u))
         self.arcs: list[tuple[int, int] | None] = [None] * len(g.edges)
+        self.heads: list[list[int]] = [[] for _ in range(g.vertex_count)]
         self.trail: list[int] = []
         self.nodes = 0
         self.branch_order = sorted(
@@ -148,8 +152,8 @@ class _Solver:
             v = stack.pop()
             if v == dst:
                 return True
-            for j, w in self.adj[v]:
-                if w not in seen and self.arcs[j] == (v, w):
+            for w in self.heads[v]:
+                if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return False
@@ -163,6 +167,7 @@ class _Solver:
         if self._reaches(head, tail):
             return False
         self.arcs[i] = (tail, head)
+        self.heads[tail].append(head)
         self.trail.append(i)
         queue.append(i)
         return True
@@ -206,8 +211,11 @@ class _Solver:
                 if self._assign(*arc, q) and self._propagate(q):
                     if descend():
                         return True
+                # the trail is undone last arc first, so each tail's last head goes
                 while len(self.trail) > mark:
-                    self.arcs[self.trail.pop()] = None
+                    j = self.trail.pop()
+                    self.heads[self.arcs[j][0]].pop()
+                    self.arcs[j] = None
             return False
 
         descend()
@@ -356,7 +364,7 @@ class NaeInstance:
 def nae3sat_brute(inst: NaeInstance) -> bool:
     """Some assignment gives every clause a true and a false literal."""
     return some_assignment_passes(
-        inst.variable_count, inst.clauses, lambda values: any(values) and not all(values)
+        inst.variable_count, inst.clauses, lambda cols: reduce(or_, cols) & ~reduce(and_, cols)
     )
 
 

@@ -689,6 +689,16 @@ def test_cli_box_budget_exceeded(tmp_path, capsys, monkeypatch):
     assert payload == {"error": "lattice box of 4913 points exceeds the budget 1000"}
 
 
+def test_cli_convexity_subset_budget_exceeded(tmp_path, capsys):
+    # a box of 1296 points, with C(35, 4) member subsets to try at each
+    mon = tmp_path / "quartics.mon"
+    mon.write_text("letters: a b c d\n" + "".join(
+        " ".join(f"{x}^{e}" for x, e in zip("abcd", row) if e) + "\n"
+        for row in itertools.product(range(5), repeat=4) if sum(row) == 4))
+    code, payload = run(capsys, "convexity", str(mon))
+    assert code == 3 and "52360 member subsets" in payload["error"]
+
+
 def test_cli_huge_exponents(tmp_path, capsys, monkeypatch):
     f = tmp_path / "huge.mon"
     f.write_text("letters: a b c\norder: a b c\na c\nb^1000000000\n")

@@ -22,10 +22,12 @@ from monoideal.cool_orderings import (
     support_filter,
 )
 from monoideal.crosscheck import (
+    antichains,
     check_quadratic_bridge,
     representative_antichains,
     representative_quadratic_sets,
 )
+from monoideal.sorted_ideal import is_fg_sorted
 from monoideal.torientation import ordering_to_orientation, is_valid_t_orientation
 from monoideal.word_oracle import finiteness_probe
 
@@ -62,6 +64,27 @@ def test_is_cool_examples():
     for members in (M((2, 0), (1, 1)), M((3, 1),)):
         for ord in all_orderings(2):
             assert is_cool(members, ord)
+
+
+def _random_quadratic_sets(n, count, seed):
+    quadratics = [e for e in itertools.product(range(3), repeat=n) if sum(e) == 2]
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield M(*rng.sample(quadratics, rng.randint(1, len(quadratics))))
+
+
+def test_is_cool_matches_is_fg_sorted_verdict():
+    # is_cool scans the members in their given order, is_fg_sorted in the
+    # order of their sorted words; only the witness may depend on it
+    pairs = 0
+    for members in itertools.chain(antichains(3, 3), antichains(4, 2)):
+        for ord in all_orderings(members[0].n):
+            assert is_cool(members, ord) == is_fg_sorted(members, ord).verdict, (members, ord)
+            pairs += 1
+    assert pairs == 2496 * 6 + 1336 * 24
+    for members in _random_quadratic_sets(6, 20, seed=15):
+        verdicts = [is_cool(members, ord) for ord in all_orderings(6)]
+        assert verdicts == [is_fg_sorted(members, ord).verdict for ord in all_orderings(6)]
 
 
 def test_all_orderings_cool_examples():

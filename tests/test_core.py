@@ -40,8 +40,10 @@ from monoideal.core import (
 )
 
 from monoideal.cool_orderings import all_orderings_cool, find_cool_ordering
+from monoideal.polyhedral import SatInstance, brute_force_sat
 from monoideal.preimage import preimage_fg, preimage_fg_pairs
 from monoideal.sorted_ideal import eps_minimal_generators, fg_generating_set, is_fg_sorted
+from monoideal.torientation import NaeInstance, nae3sat_brute
 from monoideal.word_oracle import (
     preimage_report,
     sorted_ideal_report,
@@ -355,6 +357,39 @@ def test_monomial_set_dedups_preserving_order():
     assert ms == M((1, 0), (0, 1))
 
 
+def member_monomial_set(monomials):
+    """Dedupe on the members' own hash, then check the sizes: the row-keyed set's referee."""
+    out = tuple(dict.fromkeys(monomials))
+    if out:
+        n = out[0].n
+        for m in out:
+            if m.n != n:
+                raise AlphabetMismatchError("monomial set mixes alphabet sizes")
+    return out
+
+
+def test_monomial_set_matches_member_dedupe():
+    rng = random.Random(7)
+    mixed = 0
+    for _ in range(300):
+        # fresh objects for equal rows, so the kept member is told apart by identity;
+        # one set in five may mix two alphabet sizes
+        n = rng.randint(0, 3)
+        sizes = (n, n + 1) if rng.random() < 0.2 else (n,)
+        ms = [Monomial(tuple(rng.randrange(3) for _ in range(rng.choice(sizes))))
+              for _ in range(rng.randrange(8))]
+        want = outcome(member_monomial_set, ms)
+        assert outcome(monomial_set, ms) == want, ms
+        if want[0] == "value":
+            for got in (monomial_set(ms), monomial_set(iter(ms))):
+                assert all(a is b for a, b in zip(want[1], got)), ms
+        else:
+            mixed += 1
+    assert mixed > 20
+    with pytest.raises(AlphabetMismatchError, match="^monomial set mixes alphabet sizes$"):
+        monomial_set(M((1, 0), (1, 0, 0)))
+
+
 small_monomials = st.builds(
     lambda exps: Monomial(tuple(exps)),
     st.lists(st.integers(0, 3), min_size=3, max_size=3),
@@ -395,6 +430,54 @@ def test_divisor_lemma(b, data, x, ord):
     ux = sort_word(Word(u.letters + (x,)), ord)
     vx = sort_word(Word(v.letters + (x,)), ord)
     assert word_is_factor(u, vx) or word_is_factor(ux, vx)
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel clause referee
+
+
+def per_assignment_passes(variable_count, clauses, clause_ok):
+    """One assignment at a time; ``clause_ok`` gets the literals' truth values."""
+    for bits in range(1 << variable_count):
+        if all(
+            clause_ok([((bits >> (abs(l) - 1)) & 1) == (l > 0) for l in clause])
+            for clause in clauses
+        ):
+            return True
+    return False
+
+
+def _random_clauses(rng, v, width):
+    # literals come from a random subset of the variables, so some go unused,
+    # and a clause may repeat a literal or hold it with its complement
+    used = rng.sample(range(1, v + 1), rng.randint(1, v))
+    return tuple(
+        tuple(rng.choice((1, -1)) * rng.choice(used) for _ in range(width()))
+        for _ in range(rng.randint(0, 3 * v))
+    )
+
+
+def test_brute_force_referees_match_the_per_assignment_loop():
+    rng = random.Random(3)
+    verdicts = {"nae": [], "sat": []}
+    for v in range(13):
+        for _ in range(12):
+            nae = NaeInstance(v, _random_clauses(rng, v, lambda: 3) if v else ())
+            want = per_assignment_passes(v, nae.clauses, lambda t: any(t) and not all(t))
+            assert nae3sat_brute(nae) == want, nae
+            verdicts["nae"].append(want)
+            if v:
+                sat = SatInstance(v, _random_clauses(rng, v, lambda: rng.randint(1, 3)))
+                want = per_assignment_passes(v, sat.clauses, any)
+                assert brute_force_sat(sat) == want, sat
+                verdicts["sat"].append(want)
+    assert all(0 < sum(got) < len(got) for got in verdicts.values()), verdicts
+    assert nae3sat_brute(NaeInstance(24, ((1, 2, 24),)))
+    assert not brute_force_sat(SatInstance(24, ((24,), (-24,))))
+    with pytest.raises(MonoidealError, match="limited to 24 variables"):
+        nae3sat_brute(NaeInstance(25, ((1, 2, 3),)))
+    with pytest.raises(MonoidealError, match="limited to 24 variables"):
+        brute_force_sat(SatInstance(25, ((1,),)))
 
 
 # ---------------------------------------------------------------------------

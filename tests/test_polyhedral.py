@@ -459,6 +459,25 @@ def test_convexity_matches_hull_scan_on_small_antichains():
     assert checked == 556
 
 
+def test_convexity_budget_counts_hull_subsets():
+    # 35 members on four letters: 6^4 box points times C(35, 4) subsets each
+    quartics = M(*(e for e in itertools.product(range(5), repeat=4) if sum(e) == 4))
+    with pytest.raises(BudgetExceededError) as info:
+        convexity_check(quartics)
+    assert str(info.value) == (
+        "convexity scan of 1296 box points times 52360 member subsets "
+        "= 67858560 hull tests exceeds the budget 10000000"
+    )
+    # ten members on two letters: 22^2 points times C(10, 2) subsets
+    ten = M(*((i, 2 * (10 - i) + i % 2) for i in range(10)))
+    assert not convexity_check(ten, budget=484 * 45)
+    with pytest.raises(BudgetExceededError):
+        convexity_check(ten, budget=484 * 45 - 1)
+    # three members on three letters try one subset: the box bound alone
+    three = M((2, 1, 0), (0, 2, 1), (1, 0, 2))
+    assert convexity_check(three, budget=5**3) == convexity_check(three)
+
+
 def test_convexity_check():
     assert not convexity_check(M((2, 0), (0, 2)))
     assert convexity_check(M((2, 3)))

@@ -9,6 +9,7 @@ from monoideal.torientation import (
     NaeInstance,
     Orientation,
     TGraph,
+    _Solver,
     brute_force_t_orientations,
     direct_small_t_orientation,
     enumerate_t_orientations,
@@ -130,6 +131,55 @@ def test_search_stats_pinned(g, nodes, sequence):
     else:
         assert found == ordering_to_orientation(g, Ordering.from_sequence(sequence))
         assert orientation_to_ordering(g, found).sequence() == sequence
+
+
+class _AdjacencyScanSolver(_Solver):
+    """The solver with its former reachability test, which scans every
+    incident edge and compares its state with the arc."""
+
+    def _reaches(self, src: int, dst: int) -> bool:
+        seen = {src}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            if v == dst:
+                return True
+            for j, w in self.adj[v]:
+                if w not in seen and self.arcs[j] == (v, w):
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+
+def _parity_graphs():
+    rng = random.Random(21)
+    for v in range(4, 13):
+        for _ in range(2):
+            clauses = tuple(
+                tuple(rng.choice((1, -1)) * x for x in rng.sample(range(1, v + 1), 3))
+                for _ in range(2 * v)
+            )
+            yield nae3sat_reduce(NaeInstance(v, clauses))
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        yield TGraph.make(n, edges, rng.sample(range(n), rng.randint(0, n)))
+
+
+def test_solver_reachability_over_assigned_arcs_matches_adjacency_scan():
+    enumerated = 0
+    for g in _parity_graphs():
+        new, old = _Solver(g), _AdjacencyScanSolver(g)
+        assert new.solve(limit=1) == old.solve(limit=1), g
+        assert new.nodes == old.nodes, g
+        # the head lists hold exactly the assigned arcs, whether the search
+        # stopped at a solution or undid every arc
+        assigned = sorted(a for a in new.arcs if a is not None)
+        assert sorted((u, w) for u, heads in enumerate(new.heads) for w in heads) == assigned
+        if len(g.edges) <= 12:
+            assert enumerate_t_orientations(g) == _AdjacencyScanSolver(g).solve(limit=None), g
+            enumerated += 1
+    assert enumerated > 30
 
 
 def test_forced_directed_triangle_has_no_extension():
