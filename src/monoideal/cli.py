@@ -442,15 +442,13 @@ def _cmd_convexity(args):
 
 
 def _cmd_crosscheck(args):
-    results = crosscheck.run_all(
-        letters=args.letters,
-        max_degree=args.max_degree,
-        quadratic_letters=args.quadratic_letters,
-        nae_variables=args.nae_variables,
-        nae_clauses=args.nae_clauses,
-        sat_variables=args.sat_variables,
-        sat_clauses=args.sat_clauses,
-    )
+    sizes = {name: getattr(args, name) for name in (
+        "letters", "max_degree", "quadratic_letters", "nae_variables", "nae_clauses",
+        "sat_variables", "sat_clauses")}
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+    results = crosscheck.run_all(**sizes)
     ok = all(v == 0 for v in results.values())
     return (0 if ok else 1), {"disagreements": results, "ok": ok}
 

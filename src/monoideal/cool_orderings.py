@@ -5,13 +5,16 @@ a complete search: quadratic sets reduce to finding an acyclic orientation
 of an associated graph that is transitive at the letters whose square is
 missing, and the general case runs a branch-and-bound over letter
 permutations that prunes as soon as a placed letter is internal to some
-member without the required extremal cover.  Both searches share the cover
-kernel ``sorted_ideal._cover_supports`` (with ``_has_extremal_cover``).
+member without the required extremal cover.  That search and the
+all-orderings test read the cover candidates as letter bitmasks
+(``_cover_masks``); a fixed ordering is checked by ``sorted_ideal``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import le
 from typing import Sequence
 
 from .core import (
@@ -24,7 +27,7 @@ from .core import (
     monomial_set,
     support,
 )
-from .sorted_ideal import _cover_supports, _first_violator, _has_extremal_cover
+from .sorted_ideal import _first_violator
 from .torientation import (
     TGraph,
     orientation_to_ordering,
@@ -48,6 +51,17 @@ def is_cool(M: Sequence[Monomial], ord: Ordering) -> bool:
     return _first_violator(checked_antichain(M, ord.n), ord) is None
 
 
+def _cover_masks(rows: Sequence[tuple[int, ...]], w: tuple[int, ...], x: int) -> list[int]:
+    """Letter bitmasks, less ``x``, of the rows ``s`` holding ``x`` with ``erase(s, x) | w``."""
+    # erase(s, x) | w exactly when s | w with the entry of x raised past every exponent
+    cap = w[:x] + (math.inf,) + w[x + 1 :]
+    return [
+        sum(1 << y for y, e in enumerate(s) if e and y != x)
+        for s in rows
+        if s[x] and all(map(le, s, cap))
+    ]
+
+
 def all_orderings_cool(M: Sequence[Monomial]) -> bool:
     """Every ordering is cool iff erasures are covered by small-support members.
 
@@ -58,7 +72,7 @@ def all_orderings_cool(M: Sequence[Monomial]) -> bool:
     """
     rows = [m.exponents for m in checked_antichain(M)]
     return all(
-        any(len(c) <= 1 for c in _cover_supports(rows, w, x))
+        any(c & (c - 1) == 0 for c in _cover_masks(rows, w, x))
         for w in rows
         for x in range(len(w))
         if sum(1 for y, e in enumerate(w) if e and y != x) >= 2
@@ -198,55 +212,43 @@ def find_cool_ordering(
 
 
 def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
-    supports = [support(m) for m in M]
-    # cover[(mi, x)]: supports, less x, of the members that may cover x in M[mi].
     rows = [m.exponents for m in M]
-    cover = {
-        (mi, x): _cover_supports(rows, w, x) for mi, w in enumerate(rows) for x in range(n)
-    }
+    supports = [sum(1 << y for y, e in enumerate(s) if e) for s in rows]
+    # cover[(mi, x)]: letter masks, less x, of the members that may cover x in
+    # M[mi]; one covers once its mask lies wholly before x or wholly after it.
+    cover = {(mi, x): _cover_masks(rows, w, x) for mi, w in enumerate(rows) for x in range(n)}
 
     # Letters held by more members are tried first: they decide the most
     # (member, letter) pairs once placed.
-    order = sorted(range(n), key=lambda y: (-sum(y in supp for supp in supports), y))
+    order = sorted(range(n), key=lambda y: (-sum(supp >> y & 1 for supp in supports), y))
     prefix: list[int] = []
-    placed: set[int] = set()
     nodes = 0
 
-    def letter_ok(x: int) -> bool:
-        # x was just placed after everything in `placed`; everything free
-        # comes later.  Its internal/extremal status w.r.t. every member and
-        # every potential cover is now decided.
-        for mi, supp in enumerate(supports):
-            before = bool(supp & placed)
-            after = bool(supp - placed - {x})
-            if not (before and after):
-                continue  # x is not internal to this member
-            if not _has_extremal_cover(cover[(mi, x)], placed):
-                return False
-        return True
+    def letter_ok(x: int, placed: int) -> bool:
+        # x was just placed after the letters of the bitmask `placed`;
+        # everything free comes later.  Its internal/extremal status w.r.t.
+        # every member and every potential cover is now decided.
+        return all(
+            any(c & placed == c or not c & placed for c in cover[(mi, x)])
+            for mi, supp in enumerate(supports)
+            if supp & placed and supp & ~(placed | 1 << x)  # x is internal to this member
+        )
 
-    best: list[Ordering | None] = [None]
-
-    def descend() -> bool:
+    def descend(placed: int) -> bool:
         nonlocal nodes
         if len(prefix) == n:
-            best[0] = Ordering.from_sequence(prefix)
             return True
         for y in order:
             # an ordering and its reverse are cool together: keep letter 0
             # in the first half of the positions
-            if y in placed or (y == 0 and 2 * len(prefix) > n - 1):
+            if placed >> y & 1 or (y == 0 and 2 * len(prefix) > n - 1):
                 continue
             nodes += 1
             prefix.append(y)
-            ok = letter_ok(y)
-            if ok:
-                placed.add(y)
-                if descend():
-                    return True
-                placed.discard(y)
+            if letter_ok(y, placed) and descend(placed | 1 << y):
+                return True
             prefix.pop()
         return False
 
-    found = descend()
-    return CoolSearchResult(found, best[0], nodes)
+    found = descend(0)
+    return CoolSearchResult(found, Ordering.from_sequence(prefix) if found else None, nodes)

@@ -6,9 +6,9 @@ when every internal letter of every member is "covered": some member has
 that letter extremal and divides the first member once the letter is
 erased.  This module decides that criterion, emits generating sets and
 minimal generators, evaluates the size bound, and lifts the answer to the
-leading-word data of a finite noncommutative Groebner basis.  The cover
-rule is one tuple kernel, ``_cover_supports``, shared with ``cool_orderings``,
-and ``_first_violator`` is the one scan for an uncovered letter.
+leading-word data of a finite noncommutative Groebner basis.  The one scan
+for an uncovered letter, ``_first_violator``, seeks each letter's covers
+among the members filed under it: those in which it is extremal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
 from typing import Iterable, Sequence
 
 from .core import (
@@ -67,22 +66,6 @@ def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
     return sorted(M, key=key)
 
 
-def _cover_supports(rows: Sequence[tuple], w: tuple, x: int) -> list[frozenset[int]]:
-    """``supp(s) - {x}`` for each exponent row ``s`` holding ``x`` with ``erase(s, x) | w``."""
-    # erase(s, x) | w exactly when s | w with the entry of x raised past every exponent
-    cap = w[:x] + (math.inf,) + w[x + 1 :]
-    return [
-        frozenset(itertools.compress(range(len(s)), s)) - {x}
-        for s in rows
-        if s[x] and all(map(le, s, cap))
-    ]
-
-
-def _has_extremal_cover(cands: Iterable[frozenset[int]], before: set[int]) -> bool:
-    """Whether a candidate is a subset of, or disjoint from, the letters ranked before ``x``."""
-    return any(c <= before or c.isdisjoint(before) for c in cands)
-
-
 def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
     """Decide finite generation of the sorted-word ideal of ``M``.
 
@@ -99,16 +82,27 @@ def _first_violator(ms: Sequence[Monomial], ord: Ordering) -> tuple[Monomial, in
     """The first member ``w`` of ``ms``, in the order given, with an internal
     letter ``x`` that no member covers, and ``x``; None when there is none.
 
-    ``ms`` is a checked antichain.  Whether a violator exists does not depend
-    on the order of ``ms``; which one comes first does.
+    A member covers ``x`` in ``w`` when ``x`` is extremal in it and it
+    divides ``w`` once ``x`` is erased: it lies below ``w`` with the entry
+    of ``x`` raised to infinity.  A member is extremal only at its lowest-
+    and highest-ranked letters, so one pass files it under those two.
+    ``ms`` is a checked antichain; its order decides which violator is first.
     """
-    rows = [m.exponents for m in ms]
     rank, seq = ord.rank, ord.sequence()
-    for w in ms:
-        ranks = [rank[y] for y, e in enumerate(w.exponents) if e]
-        for r in range(min(ranks) + 1, max(ranks)):
-            x = seq[r]
-            if not _has_extremal_cover(_cover_supports(rows, w.exponents, x), set(seq[:r])):
+    extremal: list[list[tuple[int, ...]]] = [[] for _ in seq]
+    spans = []
+    for m in ms:
+        s = m.exponents
+        ranks = list(itertools.compress(rank, s))
+        lo, hi = min(ranks), max(ranks)
+        extremal[seq[lo]].append(s)
+        if hi != lo:
+            extremal[seq[hi]].append(s)
+        spans.append((lo, hi))
+    for w, (lo, hi) in zip(ms, spans):
+        e = w.exponents
+        for x in seq[lo + 1 : hi]:
+            if not _some_row_divides(extremal[x], e[:x] + (math.inf,) + e[x + 1 :]):
                 return w, x
     return None
 

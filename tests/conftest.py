@@ -1,4 +1,6 @@
 import itertools
+import math
+from operator import le
 
 import pytest
 
@@ -53,6 +55,25 @@ def internal_letters(w: Monomial, ord: Ordering) -> frozenset[int]:
 def is_extremal(w: Monomial, x: int, ord: Ordering) -> bool:
     """Whether ``x`` is the smallest or largest support letter of ``w``."""
     return x in support(w) and x in extremal_internal(w, ord)[:2]
+
+
+# The cover kernels of the former row scan, verbatim: the candidate supports
+# as frozensets, and extremality as a subset test against the letters ranked
+# before x.
+def frozenset_cover_supports(rows, w, x):
+    """``supp(s) - {x}`` for each exponent row ``s`` holding ``x`` with ``erase(s, x) | w``."""
+    # erase(s, x) | w exactly when s | w with the entry of x raised past every exponent
+    cap = w[:x] + (math.inf,) + w[x + 1 :]
+    return [
+        frozenset(itertools.compress(range(len(s)), s)) - {x}
+        for s in rows
+        if s[x] and all(map(le, s, cap))
+    ]
+
+
+def frozenset_has_extremal_cover(cands, before):
+    """Whether a candidate is a subset of, or disjoint from, the letters ranked before ``x``."""
+    return any(c <= before or c.isdisjoint(before) for c in cands)
 
 
 def all_words_up_to(n_letters: int, cap: int):

@@ -738,6 +738,16 @@ def test_cli_crosscheck_small(capsys):
     assert code == 0 and payload["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "flag",
+    ["--letters", "--max-degree", "--quadratic-letters", "--nae-variables", "--nae-clauses",
+     "--sat-variables", "--sat-clauses"],
+)
+def test_cli_crosscheck_refuses_a_negative_size(capsys, flag):
+    code, payload = run(capsys, "crosscheck", flag, "-1")
+    assert code == 2 and payload == {"error": f"{flag} must be nonnegative, got -1"}
+
+
 def test_cli_pretty(tmp_path, capsys):
     f = tmp_path / "m.mon"
     f.write_text(EXAMPLE)

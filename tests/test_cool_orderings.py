@@ -8,9 +8,12 @@ from monoideal.core import (
     MonoidealError,
     Ordering,
     all_orderings,
+    antichain_reduce,
+    checked_antichain,
     support,
 )
 from monoideal.cool_orderings import (
+    CoolSearchResult,
     all_orderings_cool,
     closed_subset_check,
     find_cool_ordering,
@@ -28,10 +31,16 @@ from monoideal.crosscheck import (
     representative_quadratic_sets,
 )
 from monoideal.sorted_ideal import is_fg_sorted
-from monoideal.torientation import ordering_to_orientation, is_valid_t_orientation
+from monoideal.torientation import (
+    NaeInstance,
+    is_valid_t_orientation,
+    nae3sat_brute,
+    nae3sat_reduce,
+    ordering_to_orientation,
+)
 from monoideal.word_oracle import finiteness_probe
 
-from conftest import M, internal_letters
+from conftest import M, frozenset_cover_supports, frozenset_has_extremal_cover, internal_letters
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
 
@@ -308,3 +317,140 @@ def test_not_found_answers_are_exhaustive():
         assert res.found == exhaustive, members
         if res.found:
             assert is_cool(tuple(members), res.ordering)
+
+
+# The permutation search and the all-orderings test over frozenset cover
+# candidates, verbatim, before the candidates became letter bitmasks.
+def frozenset_all_orderings_cool(M):
+    rows = [m.exponents for m in checked_antichain(M)]
+    return all(
+        any(len(c) <= 1 for c in frozenset_cover_supports(rows, w, x))
+        for w in rows
+        for x in range(len(w))
+        if sum(1 for y, e in enumerate(w) if e and y != x) >= 2
+    )
+
+
+def frozenset_permutation_search(M, n):
+    supports = [support(m) for m in M]
+    # cover[(mi, x)]: supports, less x, of the members that may cover x in M[mi].
+    rows = [m.exponents for m in M]
+    cover = {
+        (mi, x): frozenset_cover_supports(rows, w, x)
+        for mi, w in enumerate(rows)
+        for x in range(n)
+    }
+
+    # Letters held by more members are tried first: they decide the most
+    # (member, letter) pairs once placed.
+    order = sorted(range(n), key=lambda y: (-sum(y in supp for supp in supports), y))
+    prefix = []
+    placed = set()
+    nodes = 0
+
+    def letter_ok(x):
+        # x was just placed after everything in `placed`; everything free
+        # comes later.  Its internal/extremal status w.r.t. every member and
+        # every potential cover is now decided.
+        for mi, supp in enumerate(supports):
+            before = bool(supp & placed)
+            after = bool(supp - placed - {x})
+            if not (before and after):
+                continue  # x is not internal to this member
+            if not frozenset_has_extremal_cover(cover[(mi, x)], placed):
+                return False
+        return True
+
+    best = [None]
+
+    def descend():
+        nonlocal nodes
+        if len(prefix) == n:
+            best[0] = Ordering.from_sequence(prefix)
+            return True
+        for y in order:
+            # an ordering and its reverse are cool together: keep letter 0
+            # in the first half of the positions
+            if y in placed or (y == 0 and 2 * len(prefix) > n - 1):
+                continue
+            nodes += 1
+            prefix.append(y)
+            ok = letter_ok(y)
+            if ok:
+                placed.add(y)
+                if descend():
+                    return True
+                placed.discard(y)
+            prefix.pop()
+        return False
+
+    found = descend()
+    return CoolSearchResult(found, best[0], nodes)
+
+
+def _random_nonquadratic_sets(count, seed):
+    """Seeded antichains over 6-9 letters with a member of degree other than two."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 9)
+        while True:
+            rows = set()
+            for _ in range(rng.randint(2, 6)):
+                e = [0] * n
+                for _ in range(rng.randint(2, 4)):
+                    e[rng.randrange(n)] += 1
+                rows.add(tuple(e))
+            members = antichain_reduce(map(Monomial, rows))
+            if len(members) >= 2 and any(m.degree != 2 for m in members):
+                break
+        yield n, members
+
+
+def test_bitmask_searches_match_the_frozenset_searches():
+    found = set()
+    for n, members in _random_nonquadratic_sets(300, seed=16):
+        res = find_cool_ordering(members, n)
+        assert res == frozenset_permutation_search(checked_antichain(members), n), members
+        assert all_orderings_cool(members) == frozenset_all_orderings_cool(members), members
+        found.add(res.found)
+    assert found == {True, False}
+    verdicts = set()
+    for members in itertools.chain(antichains(3, 3), antichains(4, 2)):
+        verdict = all_orderings_cool(members)
+        assert verdict == frozenset_all_orderings_cool(members), members
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def nae_chain_instance(seed):
+    """A seeded NAE-3SAT instance on 3 variables and 6 clauses, its T-graph,
+    and the quadratic set of that graph's complement encoding: x^2 for each
+    vertex outside T and xy for each non-edge."""
+    rng = random.Random(seed)
+    clauses = tuple(
+        tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(3)) for _ in range(6)
+    )
+    inst = NaeInstance(3, clauses)
+    g = nae3sat_reduce(inst)
+    n, edges = g.vertex_count, set(g.edges)
+    rows = [tuple(2 * (i == x) for i in range(n)) for x in range(n) if x not in g.tset]
+    rows += [
+        tuple(int(i in (x, y)) for i in range(n))
+        for x, y in itertools.combinations(range(n), 2)
+        if (x, y) not in edges
+    ]
+    return inst, g, tuple(map(Monomial, rows))
+
+
+def test_is_cool_on_the_many_letter_hardness_chain():
+    # the fixed-ordering check scales with the letters: a full scan of 4,116
+    # members over 93 letters, and the same verdicts as the T-orientations
+    inst, g, members = nae_chain_instance(seed=0)
+    assert (g.vertex_count, len(members)) == (93, 4116)
+    assert quadratic_graph(members, 93) == g and nae3sat_brute(inst)
+    res = find_cool_ordering(members)
+    assert res.found and is_cool(members, res.ordering)
+    rng = random.Random(16)
+    for _ in range(20):
+        ord = Ordering.from_sequence(rng.sample(range(93), 93))
+        assert is_cool(members, ord) == is_valid_t_orientation(g, ordering_to_orientation(g, ord))

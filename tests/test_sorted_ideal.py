@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import pathlib
+import random
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from monoideal.core import (
     UnitMonomialError,
     Word,
     all_orderings,
+    antichain_reduce,
     checked_antichain,
     divides,
     erase,
@@ -33,6 +35,7 @@ from monoideal.cool_orderings import is_cool
 from monoideal.sorted_ideal import (
     FgWitness,
     _extremal_scan,
+    _scan_order,
     commutator_leading_words,
     complete_enumeration_bound,
     eps_minimal_generators,
@@ -45,7 +48,15 @@ from monoideal.sorted_ideal import (
 )
 from monoideal.word_oracle import finiteness_probe, sorted_ideal_report
 
-from conftest import M, W, internal_letters, is_extremal, outcome
+from conftest import (
+    M,
+    W,
+    frozenset_cover_supports,
+    frozenset_has_extremal_cover,
+    internal_letters,
+    is_extremal,
+    outcome,
+)
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
 ABC = Ordering.identity(3)  # a < b < c
@@ -110,6 +121,56 @@ def test_violator_matches_referee():
             for ord in all_orderings(n):
                 found = is_fg_sorted(members, ord).violator
                 assert found == referee_violator(members, ord), (members, ord.rank)
+
+
+# The row scan that the per-letter extremal lists replaced, as it was: every
+# row is tried for every (member, internal letter) pair.
+def row_scan_violator(ms, ord):
+    rows = [m.exponents for m in ms]
+    rank, seq = ord.rank, ord.sequence()
+    for w in ms:
+        ranks = [rank[y] for y, e in enumerate(w.exponents) if e]
+        for r in range(min(ranks) + 1, max(ranks)):
+            x = seq[r]
+            if not frozenset_has_extremal_cover(
+                frozenset_cover_supports(rows, w.exponents, x), set(seq[:r])
+            ):
+                return w, x
+    return None
+
+
+def random_antichain(rng, n, top):
+    """A seeded antichain over ``n`` letters mixing small exponents with ones up to ``top``."""
+    while True:
+        rows = set()
+        for _ in range(rng.randint(1, 8)):
+            palette = (1, 1, 2, 3, rng.randint(1, top))
+            rows.add(tuple(rng.choice(palette) if rng.random() < 0.5 else 0 for _ in range(n)))
+        members = antichain_reduce(Monomial(r) for r in rows if any(r))
+        if members:
+            return members
+
+
+def test_violator_matches_the_row_scan():
+    from monoideal.crosscheck import antichains
+
+    pairs = 0
+    for members in itertools.chain(antichains(3, 3), antichains(4, 2)):
+        for ord in all_orderings(members[0].n):
+            expected = row_scan_violator(_scan_order(members, ord), ord)
+            assert is_fg_sorted(members, ord) == FgWitness(expected is None, expected)
+            pairs += 1
+    assert pairs == 2496 * 6 + 1336 * 24
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        members = random_antichain(rng, n, 10**18)
+        ord = Ordering.from_sequence(rng.sample(range(n), n))
+        expected = row_scan_violator(_scan_order(members, ord), ord)
+        assert is_fg_sorted(members, ord) == FgWitness(expected is None, expected), members
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 def test_fg_generating_set_worked_example():
@@ -374,8 +435,6 @@ def test_verdict_matches_probe_exhaustively_n2():
 
 
 def test_verdict_matches_probe_sampled_n4():
-    import random
-
     from monoideal.core import divides
     from monoideal.word_oracle import finiteness_probe
 
