@@ -183,6 +183,8 @@ def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str)
     for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
+            if variable_count is not None:
+                raise ParseError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != kind:
                 raise ParseError(f"expected header `p {kind} <vars> <clauses>`", lineno)
             try:
@@ -397,7 +399,10 @@ def _parse_vector(raw: str) -> tuple[int, ...]:
     body = raw.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
+    entries = body.split(",")
     try:
+        if len(entries) > 1 and not all(e.strip() for e in entries):
+            raise ValueError("empty entry")
         return tuple(int(p) for p in body.replace(",", " ").split())
     except ValueError:
         raise ParseError(f"bad vector {raw!r}") from None
@@ -498,58 +503,33 @@ COMMANDS = (
          ("--nae-variables", 2), ("--nae-clauses", 1), ("--sat-variables", 3),
          ("--sat-clauses", 1)))),
 )
-_COMMAND_NAMES = tuple(row[0] for row in COMMANDS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` of that one alone.
-
-    A one-command parser still names every command in its usage line, so
-    its top-level errors print as the full parser's.  The full parser keeps
-    the default metavar, because a set one also renames the action in the
-    "invalid choice" and "required" errors.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; each call builds a new one."""
     parser = argparse.ArgumentParser(
         prog="monoideal",
         description="finite generation of word ideals from commutative monomial data",
     )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    metavar = None if command is None else "{" + ",".join(_COMMAND_NAMES) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_, arguments in COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_)
-            for flags, kwargs in arguments:
-                p.add_argument(*flags, **kwargs)
-            p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
-# Parsers hold argparse configuration only, and ``parse_args`` returns a new
-# namespace on every call, so one parser per command serves every call of a
-# process.  ``build_parser`` itself still returns a new parser each time.
+# A parser holds argparse configuration only, and ``parse_args`` returns a
+# new namespace on every call, so one parser serves every call of a process.
 _parser = functools.cache(build_parser)
-
-
-def _requested_command(argv: Sequence[str]) -> str | None:
-    """The command of ``[--pretty ...] <command> ...``, else None.
-
-    Only spellings of ``--pretty`` may come before the command; any other
-    leading token (``-h``, ``--``, ``-``, a negative number) may change how
-    argparse reads the line, so it gets the full parser.
-    """
-    for token in argv:
-        if not token.startswith("-"):
-            return token if token in _COMMAND_NAMES else None
-        if len(token) < 3 or not "--pretty".startswith(token):
-            return None
-    return None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser(_requested_command(argv)).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, payload = args.handler(args)
     except BudgetExceededError as exc:

@@ -359,7 +359,7 @@ def sigma(w: Monomial, ord: Ordering) -> Word:
     if w.n != ord.n:
         raise AlphabetMismatchError("monomial and ordering sizes differ")
     letters: list[int] = []
-    for x in sorted(range(w.n), key=lambda i: ord.rank[i]):
+    for x in ord.sequence():
         letters.extend([x] * w.exponents[x])
     return Word(tuple(letters))
 

@@ -408,12 +408,13 @@ def parse_tgraph(text: str) -> TGraph:
     Comments follow the clause-file rule (`#` to the end of the line, a
     line starting with `c`), and an edge line holds exactly two vertices.
     """
-    n = m = None
+    n = m = tset = None
     edges: list[tuple[int, int]] = []
-    tset: list[int] = []
     for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != "tgraph":
                 raise ParseError("expected header `p tgraph <n> <m>`", lineno)
             try:
@@ -433,6 +434,8 @@ def parse_tgraph(text: str) -> TGraph:
         elif parts[0] == "t":
             if n is None:
                 raise ParseError("t line before header", lineno)
+            if tset is not None:
+                raise ParseError("duplicate t line", lineno)
             try:
                 tset = [int(p) - 1 for p in parts[1:]]
             except ValueError:
@@ -446,7 +449,7 @@ def parse_tgraph(text: str) -> TGraph:
     if m is not None and m != len(edges):
         raise ParseError(f"header announces {m} edges, found {len(edges)}")
     try:
-        return TGraph.make(n, edges, tset)
+        return TGraph.make(n, edges, tset or ())
     except MonoidealError as exc:
         raise ParseError(str(exc)) from None
 

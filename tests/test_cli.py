@@ -388,6 +388,13 @@ def test_parse_nae_and_cnf():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.line == 2 and "non-integer header fields" in str(info.value)
+    # a second header is an error, not a replacement of the first
+    for parse, text in (
+        (parse_cnf_file, "p cnf 5 1\np cnf 3 1\n1 2 3 0\n"),
+        (parse_nae_file, "p nae 5 1\np nae 3 1\n1 2 3\n"),
+    ):
+        with pytest.raises(ParseError, match="line 2: duplicate header"):
+            parse(text)
 
 
 def test_cli_check_fg(tmp_path, capsys):
@@ -536,6 +543,9 @@ def test_cli_graph_pipeline(tmp_path, capsys):
     graph_file.write_text(payload["text"])
     code, payload = run(capsys, "torient", str(graph_file))
     assert code == 1 and payload == {"found": False}
+    graph_file.write_text("p tgraph 3 2\ne 1 2\ne 2 3\nt 2\nt 1\n")
+    code, payload = run(capsys, "torient", str(graph_file))
+    assert code == 2 and payload == {"error": "line 5: duplicate t line"}
 
 
 def test_cli_poly_commands(tmp_path, capsys):
@@ -545,8 +555,13 @@ def test_cli_poly_commands(tmp_path, capsys):
     assert code == 0 and payload == {"member": True}
     code, payload = run(capsys, "poly-member", str(sys_file), "--vector", "[1,1]")
     assert code == 1
-    # brackets are stripped only as a pair, as in a .mon file
-    for bad in ("[1,2", "1,2]"):
+    for good in ("1 2", "1,2"):
+        assert run(capsys, "poly-member", str(sys_file), "--vector", good) == (0, {"member": True})
+    code, payload = run(capsys, "poly-member", str(sys_file), "--vector", "[]")
+    assert code == 2 and "length 0" in payload["error"]
+    # brackets are stripped only as a pair, and an empty entry is an error,
+    # not skipped, as in a .mon file
+    for bad in ("[1,2", "1,2]", "[1,,2]", "[,1,2]", "[1,2,]", "[,]"):
         code, payload = run(capsys, "poly-member", str(sys_file), "--vector", bad)
         assert code == 2 and payload == {"error": f"bad vector {bad!r}"}
 
@@ -769,10 +784,10 @@ def outcome(capsys, argv):
     return code, out, err
 
 
-def fresh_parser_outcome(capsys, monkeypatch, argv, full=True):
-    """The same call with a newly built parser: of every command, or of the one ``main`` asks for."""
+def fresh_parser_outcome(capsys, monkeypatch, argv):
+    """The same call with a newly built parser in place of the cached one."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_parser", lambda command: cli.build_parser(None if full else command))
+        patch.setattr(cli, "_parser", cli.build_parser)
         return outcome(capsys, argv)
 
 
@@ -810,7 +825,7 @@ def test_usage_matches_full_parser(tmp_path, capsys, monkeypatch, argv, code):
     assert got[0] == code
 
 
-def test_known_command_builds_one_subparser(tmp_path, capsys, monkeypatch):
+def test_one_parser_is_built_per_process(tmp_path, capsys, monkeypatch):
     cli._parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -823,29 +838,18 @@ def test_known_command_builds_one_subparser(tmp_path, capsys, monkeypatch):
     f = tmp_path / "m.mon"
     f.write_text(EXAMPLE)
     assert main(["check-fg", str(f), "--order", "a b c"]) == 1
-    assert built == ["check-fg"]
+    assert built == COMMAND_NAMES and len(built) == 20
     built.clear()
-    # a repeated command reuses its parser; a top-level error from the
-    # one-command parser still lists every command
-    with pytest.raises(SystemExit):
-        main(["check-fg", str(f), "--pretty"])
+    # every later call, help and usage errors included, reuses that parser
+    assert main(["generators", str(f)]) == 0
+    for argv in (["-h"], ["nope"], ["check-fg", str(f), "--pretty"]):
+        with pytest.raises(SystemExit):
+            main(argv)
     assert built == []
+    # a top-level error names every command
     usage = capsys.readouterr().err
     assert "unrecognized arguments: --pretty" in usage
     assert "{" + ",".join(COMMAND_NAMES) + "}" in usage.replace("\n", "").replace(" ", "")
-    built.clear()
-    assert main(["generators", str(f)]) == 0
-    assert built == ["generators"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["-h"])
-    assert built == COMMAND_NAMES and len(built) == 20
-    built.clear()
-    assert main(["check-fg", str(f)]) == 0
-    with pytest.raises(SystemExit):
-        main(["-h"])
-    assert built == []
-    capsys.readouterr()
 
 
 def test_cached_parsers_leak_nothing_between_calls(tmp_path, capsys, monkeypatch):
@@ -862,7 +866,7 @@ def test_cached_parsers_leak_nothing_between_calls(tmp_path, capsys, monkeypatch
     ]
     for argv in sequence:
         got = outcome(capsys, argv)
-        assert got == fresh_parser_outcome(capsys, monkeypatch, argv, full=False), argv
+        assert got == fresh_parser_outcome(capsys, monkeypatch, argv), argv
     assert [outcome(capsys, argv)[0] for argv in sequence] == [0, 0, 0, 0, 2, 1, 2, 0, 0, 0]
     # help text is laid out for the terminal width at the time of the call
     for columns in ("200", "40", "200"):

@@ -314,3 +314,10 @@ def test_file_format_round_trip():
     for bad in ("e 1 2 3", "e 1", "e 1 x"):
         with pytest.raises(ParseError, match="line 2: expected `e u v`"):
             parse_tgraph(f"p tgraph 3 1\n{bad}\n")
+    # a file has one header and one `t` line; a second is an error, not a replacement
+    for text, message in (
+        ("p tgraph 3 2\ne 1 2\ne 2 3\nt 2\nt 1\n", "line 5: duplicate t line"),
+        ("p tgraph 3 1\np tgraph 4 1\ne 1 4\n", "line 2: duplicate header"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_tgraph(text)
