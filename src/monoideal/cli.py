@@ -25,10 +25,12 @@ from .core import (
     Ordering,
     ParseError,
     antichain_reduce,
+    check_announced,
     data_lines,
     format_monomial,
     format_ordering,
     format_word,
+    header_fields,
     monomial_set,
     sorted_monomials,
 )
@@ -175,22 +177,18 @@ def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str)
     """Clause lines of signed integers, each optionally 0-terminated.
 
     An optional `p <kind> <vars> <clauses>` header fixes the variable
-    count; without one it is the largest variable used.  `#` starts a
-    comment, and so does a line starting with `c`.
+    count and must announce the number of clause lines; without one the
+    variable count is the largest variable used.  `#` starts a comment, and
+    so does a line starting with `c`.
     """
-    variable_count = None
+    variable_count = clause_count = None
     clauses = []
     for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
-            if variable_count is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != kind:
-                raise ParseError(f"expected header `p {kind} <vars> <clauses>`", lineno)
-            try:
-                variable_count, _ = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
+            variable_count, clause_count = header_fields(
+                parts, lineno, kind, "<vars> <clauses>", variable_count is not None
+            )
             continue
         try:
             lits = [int(p) for p in parts]
@@ -201,6 +199,7 @@ def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str)
         if not clause_ok(lits):
             raise ParseError(clause_error, lineno)
         clauses.append(tuple(lits))
+    check_announced(clause_count, len(clauses), "clauses")
     if variable_count is None:
         variable_count = max((abs(l) for c in clauses for l in c), default=0)
     try:

@@ -5,7 +5,8 @@ a complete search: quadratic sets reduce to finding an acyclic orientation
 of an associated graph that is transitive at the letters whose square is
 missing, and the general case runs a branch-and-bound over letter
 permutations that prunes as soon as a placed letter is internal to some
-member without the required extremal cover.  That search and the
+member without the required extremal cover, and searches each set of
+placed letters at most once.  That search and the
 all-orderings test read the cover candidates as letter bitmasks
 (``_cover_masks``); a fixed ordering is checked by ``sorted_ideal``.
 """
@@ -223,6 +224,10 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
     order = sorted(range(n), key=lambda y: (-sum(supp >> y & 1 for supp in supports), y))
     prefix: list[int] = []
     nodes = 0
+    # The subtree under a set of placed letters depends on that set alone, so
+    # a set found dead is not searched again: a revisit adds the nodes its
+    # first search took and fails, and the count reads as without the memo.
+    dead: dict[int, int] = {}
 
     def letter_ok(x: int, placed: int) -> bool:
         # x was just placed after the letters of the bitmask `placed`;
@@ -238,6 +243,10 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
         nonlocal nodes
         if len(prefix) == n:
             return True
+        if placed in dead:
+            nodes += dead[placed]
+            return False
+        start = nodes
         for y in order:
             # an ordering and its reverse are cool together: keep letter 0
             # in the first half of the positions
@@ -248,6 +257,7 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
             if letter_ok(y, placed) and descend(placed | 1 << y):
                 return True
             prefix.pop()
+        dead[placed] = nodes - start
         return False
 
     found = descend(0)

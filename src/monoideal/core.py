@@ -77,6 +77,26 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def header_fields(
+    parts: Sequence[str], lineno: int, kind: str, names: str, seen: bool
+) -> tuple[int, int]:
+    """The two integers of a `p <kind> <a> <b>` line, unless an earlier header was ``seen``."""
+    if seen:
+        raise ParseError("duplicate header", lineno)
+    if len(parts) != 4 or parts[1] != kind:
+        raise ParseError(f"expected header `p {kind} {names}`", lineno)
+    try:
+        return int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError("non-integer header fields", lineno) from None
+
+
+def check_announced(announced: int | None, found: int, noun: str) -> None:
+    """Refuse a file whose header announced another number of ``noun`` than it holds."""
+    if announced is not None and announced != found:
+        raise ParseError(f"header announces {announced} {noun}, found {found}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A finite set of letters with display names; index order is fixed."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .core import Monomial, all_orderings, divides, support
+from .core import Monomial, _some_row_divides, all_orderings, support
 from .cool_orderings import (
     all_orderings_cool,
     find_cool_ordering,
@@ -45,11 +45,12 @@ def antichains(n: int, max_total_degree: int) -> Iterable[tuple[Monomial, ...]]:
     def extend(chosen: list[Monomial], start: int):
         if chosen:
             yield tuple(chosen)
+        rows = [c.exponents for c in chosen]
         for i in range(start, len(pool)):
             cand = pool[i]
-            if all(
-                not divides(cand, c) and not divides(c, cand) for c in chosen
-            ):
+            # the pool is sorted and a multiple sorts after its divisors, so
+            # cand divides nothing chosen
+            if not _some_row_divides(rows, cand.exponents):
                 chosen.append(cand)
                 yield from extend(chosen, i + 1)
                 chosen.pop()

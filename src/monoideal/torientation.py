@@ -18,7 +18,15 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable
 
-from .core import MonoidealError, Ordering, ParseError, data_lines, some_assignment_passes
+from .core import (
+    MonoidealError,
+    Ordering,
+    ParseError,
+    check_announced,
+    data_lines,
+    header_fields,
+    some_assignment_passes,
+)
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,6 @@ class Orientation:
 
     def arc_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs)
-
-
-def _canonical_arcs(arcs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(arcs, key=lambda a: (min(a), max(a), a)))
 
 
 def _topological_order(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
@@ -201,7 +205,7 @@ class _Solver:
         def descend() -> bool:
             i = next((i for i in self.branch_order if self.arcs[i] is None), None)
             if i is None:
-                solutions.append(Orientation(_canonical_arcs(self.arcs)))
+                solutions.append(Orientation(tuple(self.arcs)))
                 return limit is not None and len(solutions) >= limit
             u, v = self.g.edges[i]
             for arc in ((u, v), (v, u)):
@@ -251,7 +255,7 @@ def brute_force_t_orientations(g: TGraph) -> list[Orientation]:
         arcs = tuple(
             (v, u) if flip else (u, v) for (u, v), flip in zip(g.edges, signs)
         )
-        o = Orientation(_canonical_arcs(arcs))
+        o = Orientation(arcs)
         if is_valid_t_orientation(g, o):
             out.append(o)
     return out
@@ -264,7 +268,7 @@ def ordering_to_orientation(g: TGraph, ord: Ordering) -> Orientation:
     arcs = tuple(
         (u, v) if ord.rank[u] < ord.rank[v] else (v, u) for u, v in g.edges
     )
-    return Orientation(_canonical_arcs(arcs))
+    return Orientation(arcs)
 
 
 def orientation_to_ordering(g: TGraph, o: Orientation) -> Ordering:
@@ -310,11 +314,12 @@ _TOP_HAT_LOCAL_EDGES = (
     (2, 3),  # abar - t
     (4, 5),  # l - r
 )
+_HAT_TSET = (1, 2, 6)  # a, abar, c
 
 
 def top_hat() -> TGraph:
     """The seven-vertex hat: vertices s,a,abar,t,l,r,c are 0..6, T={a,abar,c}."""
-    return TGraph.make(7, _TOP_HAT_LOCAL_EDGES, (1, 2, 6))
+    return TGraph.make(7, _TOP_HAT_LOCAL_EDGES, _HAT_TSET)
 
 
 # Three hats glued in a cycle: each hat's t is the next hat's s and each
@@ -327,16 +332,13 @@ _GADGET3_HATS = (
     (9, 12, 13, 0, 10, 4, 14),
 )
 
-GADGET3_SPECIAL_EDGES = ((1, 2), (7, 8), (12, 13))
+# each hat's a - abar edge, in hat order
+GADGET3_SPECIAL_EDGES = tuple((hat[1], hat[2]) for hat in _GADGET3_HATS)
 
 
 def gadget3() -> TGraph:
-    edges = []
-    tset = []
-    for s, a, abar, t, l, r, c in _GADGET3_HATS:
-        local = {0: s, 1: a, 2: abar, 3: t, 4: l, 5: r, 6: c}
-        edges.extend((local[u], local[v]) for u, v in _TOP_HAT_LOCAL_EDGES)
-        tset.extend((a, abar, c))
+    edges = [(hat[u], hat[v]) for hat in _GADGET3_HATS for u, v in _TOP_HAT_LOCAL_EDGES]
+    tset = [hat[i] for hat in _GADGET3_HATS for i in _HAT_TSET]
     return TGraph.make(15, edges, tset)
 
 
@@ -368,10 +370,6 @@ def nae3sat_brute(inst: NaeInstance) -> bool:
     )
 
 
-_GADGET_A_SLOTS = (1, 7, 12)
-_GADGET_ABAR_SLOTS = (2, 8, 13)
-
-
 def nae3sat_reduce(inst: NaeInstance) -> TGraph:
     """One gadget per clause plus a hub vertex per variable.
 
@@ -391,10 +389,8 @@ def nae3sat_reduce(inst: NaeInstance) -> TGraph:
         base = 15 * ci
         edges.extend((u + base, w + base) for u, w in base_g.edges)
         tset.extend(t + base for t in base_g.tset)
-        for slot_a, slot_abar, lit in zip(_GADGET_A_SLOTS, _GADGET_ABAR_SLOTS, clause):
-            positive_slot = slot_a if lit > 0 else slot_abar
-            hub = 15 * k + abs(lit) - 1
-            edges.append((positive_slot + base, hub))
+        for (a, abar), lit in zip(GADGET3_SPECIAL_EDGES, clause):
+            edges.append(((a if lit > 0 else abar) + base, 15 * k + abs(lit) - 1))
     tset.extend(15 * k + x for x in range(v))
     return TGraph.make(n, edges, tset)
 
@@ -407,20 +403,15 @@ def parse_tgraph(text: str) -> TGraph:
 
     Comments follow the clause-file rule (`#` to the end of the line, a
     line starting with `c`), and an edge line holds exactly two vertices.
+    Each edge appears once in either direction and joins two distinct
+    vertices, and the `t` line lists distinct vertices.
     """
     n = m = tset = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "tgraph":
-                raise ParseError("expected header `p tgraph <n> <m>`", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
+            n, m = header_fields(parts, lineno, "tgraph", "<n> <m>", n is not None)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before header", lineno)
@@ -430,24 +421,33 @@ def parse_tgraph(text: str) -> TGraph:
                 raise ParseError("expected `e u v`", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"edge endpoint out of range 1..{n}", lineno)
-            edges.append((u - 1, v - 1))
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = (min(u, v) - 1, max(u, v) - 1)
+            if key in edges:
+                raise ParseError(f"duplicate edge {u} {v}", lineno)
+            edges.add(key)
         elif parts[0] == "t":
             if n is None:
                 raise ParseError("t line before header", lineno)
             if tset is not None:
                 raise ParseError("duplicate t line", lineno)
             try:
-                tset = [int(p) - 1 for p in parts[1:]]
+                ts = [int(p) for p in parts[1:]]
             except ValueError:
                 raise ParseError("non-integer vertex in t line", lineno) from None
-            if any(not 0 <= t < n for t in tset):
+            if any(not 1 <= t <= n for t in ts):
                 raise ParseError(f"T vertex out of range 1..{n}", lineno)
+            tset = set()
+            for t in ts:
+                if t - 1 in tset:
+                    raise ParseError(f"duplicate T vertex {t}", lineno)
+                tset.add(t - 1)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing `p tgraph` header")
-    if m is not None and m != len(edges):
-        raise ParseError(f"header announces {m} edges, found {len(edges)}")
+    check_announced(m, len(edges), "edges")
     try:
         return TGraph.make(n, edges, tset or ())
     except MonoidealError as exc:

@@ -372,7 +372,7 @@ def test_member_order_changes_no_command_output(tmp_path, capsys, header, member
     assert {code for code, _, _ in seen} <= {0, 1, 2}
 
 
-def test_parse_nae_and_cnf():
+def test_parse_nae_and_cnf(tmp_path, capsys):
     inst = parse_nae_file("p nae 3 2\n1 2 3\n-1 2 -3 0\n")
     assert inst.variable_count == 3 and len(inst.clauses) == 2
     cnf = parse_cnf_file("c comment\np cnf 3 2\n1 -2 0\n3 0\n")
@@ -395,6 +395,25 @@ def test_parse_nae_and_cnf():
     ):
         with pytest.raises(ParseError, match="line 2: duplicate header"):
             parse(text)
+    # a header's clause count must match the clause lines, as a graph header's edge count does
+    for parse, text, message in (
+        (parse_cnf_file, "p cnf 3 5\n1 0\n", "header announces 5 clauses, found 1"),
+        (parse_cnf_file, "p cnf 3 0\n1 0\n", "header announces 0 clauses, found 1"),
+        (parse_nae_file, "p nae 3 4\n1 2 3\n", "header announces 4 clauses, found 1"),
+        (parse_nae_file, "1 2 3\np nae 3 2\n", "header announces 2 clauses, found 1"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message and info.value.line is None
+    assert parse_cnf_file("p cnf 3 0\n").clauses == ()
+    assert len(parse_nae_file("1 2 3\np nae 3 1\n").clauses) == 1
+    f = tmp_path / "short.cnf"
+    for argv, text, count in (
+        (("reduce-sat", str(f), "--target", "mdois"), "p cnf 3 5\n1 0\n", 5),
+        (("reduce-nae", str(f)), "p nae 3 4\n1 2 3\n", 4),
+    ):
+        f.write_text(text)
+        assert run(capsys, *argv) == (2, {"error": f"header announces {count} clauses, found 1"})
 
 
 def test_cli_check_fg(tmp_path, capsys):

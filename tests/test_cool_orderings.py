@@ -14,6 +14,7 @@ from monoideal.core import (
 )
 from monoideal.cool_orderings import (
     CoolSearchResult,
+    _cover_masks,
     all_orderings_cool,
     closed_subset_check,
     find_cool_ordering,
@@ -454,3 +455,76 @@ def test_is_cool_on_the_many_letter_hardness_chain():
     for _ in range(20):
         ord = Ordering.from_sequence(rng.sample(range(93), 93))
         assert is_cool(members, ord) == is_valid_t_orientation(g, ordering_to_orientation(g, ord))
+
+
+# The permutation search over letter bitmasks, verbatim, before it remembered
+# dead sets of placed letters.
+def unmemoized_permutation_search(M, n):
+    rows = [m.exponents for m in M]
+    supports = [sum(1 << y for y, e in enumerate(s) if e) for s in rows]
+    # cover[(mi, x)]: letter masks, less x, of the members that may cover x in
+    # M[mi]; one covers once its mask lies wholly before x or wholly after it.
+    cover = {(mi, x): _cover_masks(rows, w, x) for mi, w in enumerate(rows) for x in range(n)}
+
+    # Letters held by more members are tried first: they decide the most
+    # (member, letter) pairs once placed.
+    order = sorted(range(n), key=lambda y: (-sum(supp >> y & 1 for supp in supports), y))
+    prefix: list[int] = []
+    nodes = 0
+
+    def letter_ok(x: int, placed: int) -> bool:
+        # x was just placed after the letters of the bitmask `placed`;
+        # everything free comes later.  Its internal/extremal status w.r.t.
+        # every member and every potential cover is now decided.
+        return all(
+            any(c & placed == c or not c & placed for c in cover[(mi, x)])
+            for mi, supp in enumerate(supports)
+            if supp & placed and supp & ~(placed | 1 << x)  # x is internal to this member
+        )
+
+    def descend(placed: int) -> bool:
+        nonlocal nodes
+        if len(prefix) == n:
+            return True
+        for y in order:
+            # an ordering and its reverse are cool together: keep letter 0
+            # in the first half of the positions
+            if placed >> y & 1 or (y == 0 and 2 * len(prefix) > n - 1):
+                continue
+            nodes += 1
+            prefix.append(y)
+            if letter_ok(y, placed) and descend(placed | 1 << y):
+                return True
+            prefix.pop()
+        return False
+
+    found = descend(0)
+    return CoolSearchResult(found, Ordering.from_sequence(prefix) if found else None, nodes)
+
+
+def support_two_sets(sizes, draws, seed):
+    """``quadratic_to_support2`` of the complement encodings of seeded T-graphs:
+    each pair of letters is an edge with probability 0.45, then each letter
+    joins T with probability 0.7; x^2 for each letter outside T, xy for each
+    non-edge."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(draws):
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = {e for e in pairs if rng.random() < 0.45}
+            tset = {x for x in range(n) if rng.random() < 0.7}
+            rows = [tuple(2 * (i == x) for i in range(n)) for x in range(n) if x not in tset]
+            rows += [tuple(int(i in e) for i in range(n)) for e in pairs if e not in edges]
+            yield quadratic_to_support2(tuple(map(Monomial, rows)))
+
+
+def test_dead_prefix_memo_keeps_every_search_result():
+    # remembering dead sets of placed letters moves no verdict, ordering or
+    # node count: a revisit adds the nodes its first search took
+    verdicts = set()
+    for members in support_two_sets((9, 10), draws=6, seed=18):
+        ms = checked_antichain(members)
+        res = find_cool_ordering(ms)
+        assert res == unmemoized_permutation_search(ms, ms[0].n), members
+        verdicts.add(res.found)
+    assert verdicts == {True, False}

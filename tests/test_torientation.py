@@ -224,6 +224,33 @@ def test_ordering_round_trip():
     assert is_valid_t_orientation(g2, ordering_to_orientation(g2, ordering))
 
 
+def test_arcs_list_one_per_edge_in_edge_order():
+    # the solver, the brute force and ordering_to_orientation direct g.edges[i]
+    # at position i; make sorts the edges, so the arcs sort by their edge
+    def in_edge_order(g, o):
+        return tuple((min(a), max(a)) for a in o.arcs) == g.edges == tuple(sorted(g.edges))
+
+    rng = random.Random(18)
+    graphs = [top_hat(), gadget3()]
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5][:12]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        graphs.append(TGraph.make(n, edges, [x for x in range(n) if rng.random() < 0.5]))
+    for g in graphs:
+        solutions = enumerate_t_orientations(g)
+        assert all(in_edge_order(g, o) for o in solutions)
+        if len(g.edges) <= 12:
+            brute = brute_force_t_orientations(g)
+            assert set(brute) == set(solutions)
+            assert all(in_edge_order(g, o) for o in brute)
+        seq = list(range(g.vertex_count))
+        rng.shuffle(seq)
+        assert in_edge_order(g, ordering_to_orientation(g, Ordering.from_sequence(seq)))
+    g = nae3sat_reduce(NaeInstance(3, ((1, 2, 3), (-1, 2, -3))))
+    assert in_edge_order(g, t_orientation_search(g))
+
+
 def test_orientation_to_ordering_rejects_cycles():
     g = TGraph.make(3, [(0, 1), (1, 2), (0, 2)], ())
     with pytest.raises(MonoidealError):
@@ -321,3 +348,18 @@ def test_file_format_round_trip():
     ):
         with pytest.raises(ParseError, match=message):
             parse_tgraph(text)
+    # each edge appears once in either direction, joins distinct vertices,
+    # and T lists distinct vertices; errors name the line and 1-based vertices
+    for text, message in (
+        ("p tgraph 2 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge 2 1"),
+        ("p tgraph 2 1\ne 1 2\ne 2 1\n", "line 3: duplicate edge 2 1"),
+        ("p tgraph 3 2\ne 2 3\ne 2 3\n", "line 3: duplicate edge 2 3"),
+        ("p tgraph 2 1\ne 1 1\n", "line 2: self-loop at vertex 1"),
+        ("p tgraph 3 1\ne 1 2\ne 3 3\n", "line 3: self-loop at vertex 3"),
+        ("p tgraph 3 0\nt 1 1\n", "line 2: duplicate T vertex 1"),
+        ("p tgraph 3 0\n\nt 3 1 2 1\n", "line 3: duplicate T vertex 1"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_tgraph(text)
+        assert str(info.value) == message
+    assert parse_tgraph("p tgraph 3 1\ne 2 1\nt 3 1\n") == TGraph.make(3, [(0, 1)], (0, 2))
