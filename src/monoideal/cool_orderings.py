@@ -1,21 +1,24 @@
 """Search for letter orderings making the sorted-word ideal finite.
 
-We call such an ordering cool for the antichain.  Existence is decided by
-a complete search: quadratic sets reduce to finding an acyclic orientation
-of an associated graph that is transitive at the letters whose square is
-missing, and the general case runs a branch-and-bound over letter
-permutations that prunes as soon as a placed letter is internal to some
-member without the required extremal cover, and searches each set of
-placed letters at most once.  That search and the
-all-orderings test read the cover candidates as letter bitmasks
-(``_cover_masks``); a fixed ordering is checked by ``sorted_ideal``.
+We call such an ordering cool for the antichain.  Whether a letter may
+follow the letters already placed depends only on the set of those
+letters, so each antichain gets one step table (``_StepTable``): the cover
+candidates of each (member, letter) pair as letter bitmasks, built when
+first asked for, and a bounded memo of step verdicts.  A fixed ordering is
+cool iff each of its steps passes, and the all-orderings test reads the
+same covers.  Existence is decided by a complete search: quadratic sets
+reduce to finding an acyclic orientation of an associated graph that is
+transitive at the letters whose square is missing, and the general case
+runs a branch-and-bound over letter permutations that asks the table at
+each step, prunes at the first step that fails, and searches each set of
+placed letters at most once.  ``sorted_ideal.is_fg_sorted`` decides a
+fixed ordering independently of the table and names a witness.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from operator import le
 from typing import Sequence
 
 from .core import (
@@ -28,7 +31,6 @@ from .core import (
     monomial_set,
     support,
 )
-from .sorted_ideal import _first_violator
 from .torientation import (
     TGraph,
     orientation_to_ordering,
@@ -46,21 +48,107 @@ class CoolSearchResult:
 def is_cool(M: Sequence[Monomial], ord: Ordering) -> bool:
     """Whether the sorted-word ideal of the antichain is finitely generated.
 
-    The verdict of :func:`is_fg_sorted`, without sorting the members to
-    find its witness.
+    The verdict of :func:`is_fg_sorted`, read step by step off the set's
+    step table instead of by sorting the members to find a witness.
     """
-    return _first_violator(checked_antichain(M, ord.n), ord) is None
+    table = _step_table(tuple(M), ord.n)
+    placed = 0
+    for x in ord.sequence():
+        if not table.passes(placed, x):
+            return False
+        placed |= 1 << x
+    return True
 
 
-def _cover_masks(rows: Sequence[tuple[int, ...]], w: tuple[int, ...], x: int) -> list[int]:
-    """Letter bitmasks, less ``x``, of the rows ``s`` holding ``x`` with ``erase(s, x) | w``."""
-    # erase(s, x) | w exactly when s | w with the entry of x raised past every exponent
-    cap = w[:x] + (math.inf,) + w[x + 1 :]
-    return [
-        sum(1 << y for y, e in enumerate(s) if e and y != x)
-        for s in rows
-        if s[x] and all(map(le, s, cap))
-    ]
+# Step verdicts one table remembers; past this many it computes the rest
+# each time, so a scan over many orderings of many letters stays bounded.
+_STEP_MEMO_CAP = 1 << 16
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+class _StepTable:
+    """The ordering-free facts of a checked antichain over ``n`` letters.
+
+    Letter ``x`` may follow the placed letters (a bitmask) when each member
+    to which ``x`` is then internal, holding a placed letter and a letter
+    placed later, has a cover: a member holding ``x`` that divides it once
+    ``x`` is erased, whose other letters all come before ``x`` or all after
+    it.  An ordering is cool iff each of its steps passes.
+    """
+
+    def __init__(self, M: tuple[Monomial, ...], n: int):
+        self.n = n
+        self.rows = [m.exponents for m in checked_antichain(M, n)]
+        self.supports: list[int] = []
+        # holders[x]: the rows holding x, filed under their letter mask less
+        # x, each as its entries above 1 off x: a row whose mask lies inside a
+        # member's support divides it off x unless one of those is too large
+        self.holders: list[dict[int, list[tuple[tuple[int, int], ...]]]] = [
+            {} for _ in range(n)
+        ]
+        for s in self.rows:
+            letters = [y for y, e in enumerate(s) if e]
+            supp = sum(1 << y for y in letters)
+            self.supports.append(supp)
+            high = tuple((y, s[y]) for y in letters if s[y] > 1)
+            for x in letters:
+                group = self.holders[x].setdefault(supp & ~(1 << x), [])
+                group.append(tuple(p for p in high if p[0] != x) if high else high)
+        # _covers[x][i]: the cover masks of member i at x, once asked for
+        self._covers: list[dict[int, list[int]]] = [{} for _ in range(n)]
+        self.steps: dict[int, bool] = {}
+
+    def covers(self, i: int, x: int) -> list[int]:
+        """The distinct letter masks, less ``x``, of the rows holding ``x``
+        that divide member ``i`` once ``x`` is erased."""
+        masks = self._covers[x].get(i)
+        if masks is None:
+            w, holders = self.rows[i], self.holders[x]
+            # a cover's other letters lie in the member's support; the fewer
+            # of its submasks and the filed masks are tried
+            room = self.supports[i] & ~(1 << x)
+            if 1 << room.bit_count() < len(holders):
+                masks = [c for c in _submasks(room) if c in holders]
+            else:
+                masks = [c for c in holders if c & room == c]
+            masks = self._covers[x][i] = [
+                c for c in masks if any(all(w[y] >= e for y, e in high) for high in holders[c])
+            ]
+        return masks
+
+    def passes(self, placed: int, x: int) -> bool:
+        """Whether ``x`` may follow the letters of the bitmask ``placed``."""
+        key = placed * self.n + x
+        verdict = self.steps.get(key)
+        if verdict is None:
+            later = ~(placed | 1 << x)
+            covers = self._covers[x]
+            verdict = True
+            for i, supp in enumerate(self.supports):
+                if supp & placed and supp & later:  # x is internal to member i
+                    masks = covers.get(i)
+                    if masks is None:
+                        masks = self.covers(i, x)
+                    if not any(c & placed == c or not c & placed for c in masks):
+                        verdict = False
+                        break
+            if len(self.steps) < _STEP_MEMO_CAP:
+                self.steps[key] = verdict
+        return verdict
+
+
+@functools.lru_cache(maxsize=1)
+def _step_table(M: tuple[Monomial, ...], n: int) -> _StepTable:
+    """The step table of the set last asked about; a failed check is not kept."""
+    return _StepTable(M, n)
 
 
 def all_orderings_cool(M: Sequence[Monomial]) -> bool:
@@ -71,12 +159,13 @@ def all_orderings_cool(M: Sequence[Monomial]) -> bool:
     must contain ``x`` (so ``x`` is extremal in it under any ordering) and
     divide ``m`` once ``x`` is erased: a cover candidate with at most one letter.
     """
-    rows = [m.exponents for m in checked_antichain(M)]
+    ms = tuple(M)
+    table = _step_table(ms, ms[0].n if ms else 0)
     return all(
-        any(c & (c - 1) == 0 for c in _cover_masks(rows, w, x))
-        for w in rows
-        for x in range(len(w))
-        if sum(1 for y, e in enumerate(w) if e and y != x) >= 2
+        any(c & (c - 1) == 0 for c in table.covers(i, x))
+        for i, supp in enumerate(table.supports)
+        for x in range(table.n)
+        if (supp & ~(1 << x)).bit_count() >= 2
     )
 
 
@@ -213,31 +302,16 @@ def find_cool_ordering(
 
 
 def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
-    rows = [m.exponents for m in M]
-    supports = [sum(1 << y for y, e in enumerate(s) if e) for s in rows]
-    # cover[(mi, x)]: letter masks, less x, of the members that may cover x in
-    # M[mi]; one covers once its mask lies wholly before x or wholly after it.
-    cover = {(mi, x): _cover_masks(rows, w, x) for mi, w in enumerate(rows) for x in range(n)}
-
+    table = _step_table(M, n)
     # Letters held by more members are tried first: they decide the most
     # (member, letter) pairs once placed.
-    order = sorted(range(n), key=lambda y: (-sum(supp >> y & 1 for supp in supports), y))
+    order = sorted(range(n), key=lambda y: (-sum(supp >> y & 1 for supp in table.supports), y))
     prefix: list[int] = []
     nodes = 0
     # The subtree under a set of placed letters depends on that set alone, so
     # a set found dead is not searched again: a revisit adds the nodes its
     # first search took and fails, and the count reads as without the memo.
     dead: dict[int, int] = {}
-
-    def letter_ok(x: int, placed: int) -> bool:
-        # x was just placed after the letters of the bitmask `placed`;
-        # everything free comes later.  Its internal/extremal status w.r.t.
-        # every member and every potential cover is now decided.
-        return all(
-            any(c & placed == c or not c & placed for c in cover[(mi, x)])
-            for mi, supp in enumerate(supports)
-            if supp & placed and supp & ~(placed | 1 << x)  # x is internal to this member
-        )
 
     def descend(placed: int) -> bool:
         nonlocal nodes
@@ -254,7 +328,7 @@ def _permutation_search(M: tuple[Monomial, ...], n: int) -> CoolSearchResult:
                 continue
             nodes += 1
             prefix.append(y)
-            if letter_ok(y, placed) and descend(placed | 1 << y):
+            if table.passes(placed, y) and descend(placed | 1 << y):
                 return True
             prefix.pop()
         dead[placed] = nodes - start

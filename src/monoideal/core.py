@@ -86,9 +86,12 @@ def header_fields(
     if len(parts) != 4 or parts[1] != kind:
         raise ParseError(f"expected header `p {kind} {names}`", lineno)
     try:
-        return int(parts[2]), int(parts[3])
+        fields = int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError("non-integer header fields", lineno) from None
+    if min(fields) < 0:
+        raise ParseError("negative header fields", lineno)
+    return fields
 
 
 def check_announced(announced: int | None, found: int, noun: str) -> None:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from operator import le
+from typing import Sequence
 
 import pytest
 
@@ -66,6 +67,18 @@ def frozenset_cover_supports(rows, w, x):
     cap = w[:x] + (math.inf,) + w[x + 1 :]
     return [
         frozenset(itertools.compress(range(len(s)), s)) - {x}
+        for s in rows
+        if s[x] and all(map(le, s, cap))
+    ]
+
+
+# The bitmask cover kernel of the former eager cover table, verbatim.
+def _cover_masks(rows: Sequence[tuple[int, ...]], w: tuple[int, ...], x: int) -> list[int]:
+    """Letter bitmasks, less ``x``, of the rows ``s`` holding ``x`` with ``erase(s, x) | w``."""
+    # erase(s, x) | w exactly when s | w with the entry of x raised past every exponent
+    cap = w[:x] + (math.inf,) + w[x + 1 :]
+    return [
+        sum(1 << y for y, e in enumerate(s) if e and y != x)
         for s in rows
         if s[x] and all(map(le, s, cap))
     ]

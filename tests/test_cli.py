@@ -405,6 +405,16 @@ def test_parse_nae_and_cnf(tmp_path, capsys):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message and info.value.line is None
+    # a negative field is refused at its header line
+    for parse, text, line in (
+        (parse_cnf_file, "p cnf -2 0\n", 1),
+        (parse_cnf_file, "c comment\np cnf 3 -1\n", 2),
+        (parse_nae_file, "p nae -3 1\n1 2 3\n", 1),
+        (parse_nae_file, "1 2 3\np nae 3 -1\n", 2),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == line and str(info.value) == f"line {line}: negative header fields"
     assert parse_cnf_file("p cnf 3 0\n").clauses == ()
     assert len(parse_nae_file("1 2 3\np nae 3 1\n").clauses) == 1
     f = tmp_path / "short.cnf"
@@ -414,6 +424,13 @@ def test_parse_nae_and_cnf(tmp_path, capsys):
     ):
         f.write_text(text)
         assert run(capsys, *argv) == (2, {"error": f"header announces {count} clauses, found 1"})
+    for argv, text in (
+        (("reduce-sat", str(f), "--target", "mdois"), "p cnf -2 0\n"),
+        (("reduce-nae", str(f)), "p nae 3 -1\n1 2 3\n"),
+        (("torient", str(f)), "p tgraph 2 -1\n"),
+    ):
+        f.write_text(text)
+        assert run(capsys, *argv) == (2, {"error": "line 1: negative header fields"})
 
 
 def test_cli_check_fg(tmp_path, capsys):

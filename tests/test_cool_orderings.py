@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,9 +13,9 @@ from monoideal.core import (
     checked_antichain,
     support,
 )
+from monoideal import cool_orderings
 from monoideal.cool_orderings import (
     CoolSearchResult,
-    _cover_masks,
     all_orderings_cool,
     closed_subset_check,
     find_cool_ordering,
@@ -41,7 +42,14 @@ from monoideal.torientation import (
 )
 from monoideal.word_oracle import finiteness_probe
 
-from conftest import M, frozenset_cover_supports, frozenset_has_extremal_cover, internal_letters
+from conftest import (
+    M,
+    outcome,
+    _cover_masks,
+    frozenset_cover_supports,
+    frozenset_has_extremal_cover,
+    internal_letters,
+)
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
 
@@ -83,18 +91,129 @@ def _random_quadratic_sets(n, count, seed):
         yield M(*rng.sample(quadratics, rng.randint(1, len(quadratics))))
 
 
+@functools.cache
+def refereed_sets():
+    """The sets the step table is refereed on, each with its letter count and
+    the verdicts of ``is_fg_sorted`` on ``all_orderings(n)``, in that order."""
+    groups = (
+        representative_quadratic_sets(5),
+        _random_quadratic_sets(6, 20, seed=15),
+        antichains(3, 3),
+        antichains(4, 2),
+    )
+    out = []
+    for members in itertools.chain(*groups):
+        n = members[0].n
+        out.append((members, n, [is_fg_sorted(members, o).verdict for o in orderings_of(n)]))
+    return out
+
+
+@functools.cache
+def orderings_of(n):
+    return tuple(all_orderings(n))
+
+
 def test_is_cool_matches_is_fg_sorted_verdict():
-    # is_cool scans the members in their given order, is_fg_sorted in the
-    # order of their sorted words; only the witness may depend on it
-    pairs = 0
-    for members in itertools.chain(antichains(3, 3), antichains(4, 2)):
-        for ord in all_orderings(members[0].n):
-            assert is_cool(members, ord) == is_fg_sorted(members, ord).verdict, (members, ord)
-            pairs += 1
-    assert pairs == 2496 * 6 + 1336 * 24
-    for members in _random_quadratic_sets(6, 20, seed=15):
-        verdicts = [is_cool(members, ord) for ord in all_orderings(6)]
-        assert verdicts == [is_fg_sorted(members, ord).verdict for ord in all_orderings(6)]
+    # is_cool walks the steps of the set's table, is_fg_sorted scans the
+    # members in the order of their sorted words; only the witness may depend
+    # on it.  A step verdict depends on the placed set alone, so remembered
+    # steps must give every ordering's verdict whatever was asked before it:
+    # the orderings come forward, reversed and shuffled.
+    rng = random.Random(19)
+    sets = refereed_sets()
+    assert [n for _, n, _ in sets[:563]] == [5] * 543 + [6] * 20
+    assert sum(len(orderings_of(n)) for _, n, _ in sets[563:]) == 2496 * 6 + 1336 * 24
+    assert {v for _, _, verdicts in sets for v in verdicts} == {True, False}
+    for members, n, verdicts in sets:
+        asked = list(enumerate(orderings_of(n)))
+        for order in (asked, asked[::-1], rng.sample(asked, len(asked))):
+            assert all(is_cool(members, o) == verdicts[k] for k, o in order), members
+    # calls on two sets, one by one: each call finds the other set's table
+    for (a, n, va), (b, _, vb) in zip(sets[:200:2], sets[1:200:2]):
+        for k, o in enumerate(orderings_of(n)):
+            assert is_cool(a, o) == va[k] and is_cool(b, o) == vb[k], (a, b)
+
+
+def test_step_table_refuses_an_invalid_set_on_every_call():
+    valid = (AB2C_A3B, Ordering.identity(3))
+    for members, ord in (
+        (M((1, 0), (1, 1)), Ordering.identity(2)),
+        (M((0, 0),), Ordering.identity(2)),
+        ((Monomial((1, 0)), Monomial((0, 1, 1))), Ordering.identity(2)),
+        (AB2C_A3B, Ordering.identity(2)),
+    ):
+        expected = outcome(is_fg_sorted, members, ord)
+        assert expected[0] == "error"
+        assert outcome(is_cool, members, ord) == expected
+        assert outcome(is_cool, members, ord) == expected
+        assert is_cool(*valid) is False
+        assert outcome(is_cool, members, ord) == expected
+        assert is_cool(*valid) is False
+
+
+def cool_ordering_count(n, step):
+    """Cool orderings counted over the subsets of placed letters:
+    ``count[P | 1 << x] += count[P]`` over each step ``(P, x)`` that passes."""
+    count = [0] * (1 << n)
+    count[0] = 1
+    for placed in range(1 << n):
+        if count[placed]:
+            for x in range(n):
+                if not placed >> x & 1 and step(placed, x):
+                    count[placed | 1 << x] += count[placed]
+    return count[-1]
+
+
+def frozenset_step(members):
+    """Whether ``x`` may follow the placed letters, from the frozenset cover kernels."""
+    rows = [m.exponents for m in members]
+    supports = [support(m) for m in members]
+    n = len(rows[0])
+    cover = {(i, x): frozenset_cover_supports(rows, w, x) for i, w in enumerate(rows) for x in range(n)}
+
+    def step(placed, x):
+        before = frozenset(y for y in range(n) if placed >> y & 1)
+        return all(
+            frozenset_has_extremal_cover(cover[(i, x)], before)
+            for i, supp in enumerate(supports)
+            if supp & before and supp - before - {x}
+        )
+
+    return step
+
+
+def test_cool_ordering_count_over_subsets_matches_the_orderings_scan():
+    # the orderings is_fg_sorted accepts, counted without listing orderings:
+    # once over independent step verdicts, once over the step table's
+    counts = set()
+    for members, n, verdicts in refereed_sets():
+        expected = sum(verdicts)
+        assert cool_ordering_count(n, frozenset_step(members)) == expected, members
+        table = cool_orderings._step_table(members, n)
+        assert cool_ordering_count(n, table.passes) == expected, members
+        counts.add(expected)
+    assert 0 in counts and 120 in counts and len(counts) > 10
+
+
+def test_step_memo_stays_under_its_cap():
+    # 20 letters: squares of the first 18 and products of neighbours, so most
+    # orderings walk far and ask steps no earlier ordering asked; past the
+    # cap, verdicts are computed and still agree with is_fg_sorted
+    n = 20
+    rows = [tuple(2 * (i == x) for i in range(n)) for x in range(18)]
+    rows += [tuple(int(i in (x, x + 1)) for i in range(n)) for x in range(n - 1)]
+    members = M(*rows)
+    cap = cool_orderings._STEP_MEMO_CAP
+    rng = random.Random(20)
+    verdicts = []
+    for k in range(20_000):
+        ord = Ordering.from_sequence(rng.sample(range(n), n))
+        verdicts.append(is_cool(members, ord))
+        if k % 1000 == 0:
+            assert verdicts[-1] == is_fg_sorted(members, ord).verdict, ord
+    steps = cool_orderings._step_table(members, n).steps
+    assert len(steps) == cap
+    assert set(verdicts) == {True, False}
 
 
 def test_all_orderings_cool_examples():

@@ -345,6 +345,9 @@ def test_file_format_round_trip():
     for text, message in (
         ("p tgraph 3 2\ne 1 2\ne 2 3\nt 2\nt 1\n", "line 5: duplicate t line"),
         ("p tgraph 3 1\np tgraph 4 1\ne 1 4\n", "line 2: duplicate header"),
+        # a negative field is refused at its header line
+        ("p tgraph -1 0\n", "line 1: negative header fields"),
+        ("c graph\np tgraph 2 -1\n", "line 2: negative header fields"),
     ):
         with pytest.raises(ParseError, match=message):
             parse_tgraph(text)
