@@ -226,9 +226,12 @@ def _budget(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise MonoidealError(f"MONOIDEAL_BUDGET must be an integer, got {raw!r}")
+    if budget < 0:
+        raise MonoidealError(f"MONOIDEAL_BUDGET must be nonnegative, got {budget}")
+    return budget
 
 
 def _read(path: str) -> str:

@@ -2,22 +2,19 @@
 
 We call such an ordering cool for the antichain.  Whether a letter may
 follow the letters already placed depends only on the set of those
-letters, so each antichain gets one step table (``_StepTable``): the cover
-candidates of each (member, letter) pair as letter bitmasks, built when
-first asked for, and a bounded memo of step verdicts.  A fixed ordering is
-cool iff each of its steps passes, and the all-orderings test reads the
-same covers.  Existence is decided by a complete search: quadratic sets
-reduce to finding an acyclic orientation of an associated graph that is
-transitive at the letters whose square is missing, and the general case
-runs a branch-and-bound over letter permutations that asks the table at
-each step, prunes at the first step that fails, and searches each set of
-placed letters at most once.  ``sorted_ideal.is_fg_sorted`` decides a
-fixed ordering independently of the table and names a witness.
+letters, so every test here reads the set's one step table
+(``sorted_ideal._StepTable``), which also gives ``is_fg_sorted`` its
+witness.  A fixed ordering is cool iff each of its steps passes, and the
+all-orderings test reads the same covers.  Existence is decided by a
+complete search: quadratic sets reduce to finding an acyclic orientation of
+an associated graph that is transitive at the letters whose square is
+missing, and the general case runs a branch-and-bound over letter
+permutations that asks the table at each step, prunes at the first step
+that fails, and searches each set of placed letters at most once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +28,7 @@ from .core import (
     monomial_set,
     support,
 )
+from .sorted_ideal import _step_table
 from .torientation import (
     TGraph,
     orientation_to_ordering,
@@ -58,97 +56,6 @@ def is_cool(M: Sequence[Monomial], ord: Ordering) -> bool:
             return False
         placed |= 1 << x
     return True
-
-
-# Step verdicts one table remembers; past this many it computes the rest
-# each time, so a scan over many orderings of many letters stays bounded.
-_STEP_MEMO_CAP = 1 << 16
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
-
-
-class _StepTable:
-    """The ordering-free facts of a checked antichain over ``n`` letters.
-
-    Letter ``x`` may follow the placed letters (a bitmask) when each member
-    to which ``x`` is then internal, holding a placed letter and a letter
-    placed later, has a cover: a member holding ``x`` that divides it once
-    ``x`` is erased, whose other letters all come before ``x`` or all after
-    it.  An ordering is cool iff each of its steps passes.
-    """
-
-    def __init__(self, M: tuple[Monomial, ...], n: int):
-        self.n = n
-        self.rows = [m.exponents for m in checked_antichain(M, n)]
-        self.supports: list[int] = []
-        # holders[x]: the rows holding x, filed under their letter mask less
-        # x, each as its entries above 1 off x: a row whose mask lies inside a
-        # member's support divides it off x unless one of those is too large
-        self.holders: list[dict[int, list[tuple[tuple[int, int], ...]]]] = [
-            {} for _ in range(n)
-        ]
-        for s in self.rows:
-            letters = [y for y, e in enumerate(s) if e]
-            supp = sum(1 << y for y in letters)
-            self.supports.append(supp)
-            high = tuple((y, s[y]) for y in letters if s[y] > 1)
-            for x in letters:
-                group = self.holders[x].setdefault(supp & ~(1 << x), [])
-                group.append(tuple(p for p in high if p[0] != x) if high else high)
-        # _covers[x][i]: the cover masks of member i at x, once asked for
-        self._covers: list[dict[int, list[int]]] = [{} for _ in range(n)]
-        self.steps: dict[int, bool] = {}
-
-    def covers(self, i: int, x: int) -> list[int]:
-        """The distinct letter masks, less ``x``, of the rows holding ``x``
-        that divide member ``i`` once ``x`` is erased."""
-        masks = self._covers[x].get(i)
-        if masks is None:
-            w, holders = self.rows[i], self.holders[x]
-            # a cover's other letters lie in the member's support; the fewer
-            # of its submasks and the filed masks are tried
-            room = self.supports[i] & ~(1 << x)
-            if 1 << room.bit_count() < len(holders):
-                masks = [c for c in _submasks(room) if c in holders]
-            else:
-                masks = [c for c in holders if c & room == c]
-            masks = self._covers[x][i] = [
-                c for c in masks if any(all(w[y] >= e for y, e in high) for high in holders[c])
-            ]
-        return masks
-
-    def passes(self, placed: int, x: int) -> bool:
-        """Whether ``x`` may follow the letters of the bitmask ``placed``."""
-        key = placed * self.n + x
-        verdict = self.steps.get(key)
-        if verdict is None:
-            later = ~(placed | 1 << x)
-            covers = self._covers[x]
-            verdict = True
-            for i, supp in enumerate(self.supports):
-                if supp & placed and supp & later:  # x is internal to member i
-                    masks = covers.get(i)
-                    if masks is None:
-                        masks = self.covers(i, x)
-                    if not any(c & placed == c or not c & placed for c in masks):
-                        verdict = False
-                        break
-            if len(self.steps) < _STEP_MEMO_CAP:
-                self.steps[key] = verdict
-        return verdict
-
-
-@functools.lru_cache(maxsize=1)
-def _step_table(M: tuple[Monomial, ...], n: int) -> _StepTable:
-    """The step table of the set last asked about; a failed check is not kept."""
-    return _StepTable(M, n)
 
 
 def all_orderings_cool(M: Sequence[Monomial]) -> bool:

@@ -6,13 +6,18 @@ when every internal letter of every member is "covered": some member has
 that letter extremal and divides the first member once the letter is
 erased.  This module decides that criterion, emits generating sets and
 minimal generators, evaluates the size bound, and lifts the answer to the
-leading-word data of a finite noncommutative Groebner basis.  The one scan
-for an uncovered letter, ``_first_violator``, seeks each letter's covers
-among the members filed under it: those in which it is extremal.
+leading-word data of a finite noncommutative Groebner basis.  Whether a
+member's letter is covered depends only on which letters come before it, so
+each antichain gets one step table (``_StepTable``), which states the cover
+rule once: the cover candidates of each (member, letter) pair as letter
+bitmasks, built when first asked for, and a bounded memo of step verdicts.
+``is_fg_sorted`` reads it for a witness, and ``cool_orderings`` reads it to
+test and search orderings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,40 +76,119 @@ def is_fg_sorted(M: Sequence[Monomial], ord: Ordering) -> FgWitness:
 
     ``M`` must be an antichain of nonunits.  The verdict is positive iff for
     every member ``w`` and every letter ``x`` internal to ``w`` some member
-    has ``x`` extremal and, with ``x`` erased, divides ``w``.
+    has ``x`` extremal and, with ``x`` erased, divides ``w``.  On a negative
+    verdict the violator is the first such pair: members in the order of
+    their sorted words, lexicographic in rank, and their letters by rank.
     """
-    ms = checked_antichain(M, ord.n)
-    violator = _first_violator(_scan_order(ms, ord), ord)
-    return FgWitness(violator is None, violator)
-
-
-def _first_violator(ms: Sequence[Monomial], ord: Ordering) -> tuple[Monomial, int] | None:
-    """The first member ``w`` of ``ms``, in the order given, with an internal
-    letter ``x`` that no member covers, and ``x``; None when there is none.
-
-    A member covers ``x`` in ``w`` when ``x`` is extremal in it and it
-    divides ``w`` once ``x`` is erased: it lies below ``w`` with the entry
-    of ``x`` raised to infinity.  A member is extremal only at its lowest-
-    and highest-ranked letters, so one pass files it under those two.
-    ``ms`` is a checked antichain; its order decides which violator is first.
-    """
+    table = _step_table(tuple(M), ord.n)
     rank, seq = ord.rank, ord.sequence()
-    extremal: list[list[tuple[int, ...]]] = [[] for _ in seq]
-    spans = []
-    for m in ms:
-        s = m.exponents
-        ranks = list(itertools.compress(rank, s))
-        lo, hi = min(ranks), max(ranks)
-        extremal[seq[lo]].append(s)
-        if hi != lo:
-            extremal[seq[hi]].append(s)
-        spans.append((lo, hi))
-    for w, (lo, hi) in zip(ms, spans):
-        e = w.exponents
-        for x in seq[lo + 1 : hi]:
-            if not _some_row_divides(extremal[x], e[:x] + (math.inf,) + e[x + 1 :]):
-                return w, x
-    return None
+    below = [0]  # below[r]: the letters ranked below r, as a bitmask
+    for x in seq:
+        below.append(below[-1] | 1 << x)
+    for w in _scan_order(table.members, ord):
+        i = table.index[w.exponents]
+        ranks = list(itertools.compress(rank, w.exponents))
+        for r in range(min(ranks) + 1, max(ranks)):
+            if not table.covered(i, seq[r], below[r]):
+                return FgWitness(False, (w, seq[r]))
+    return FgWitness(True)
+
+
+# Step verdicts one table remembers; past this many it computes the rest
+# each time, so a scan over many orderings of many letters stays bounded.
+_STEP_MEMO_CAP = 1 << 16
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+class _StepTable:
+    """The ordering-free facts of a checked antichain over ``n`` letters.
+
+    Member ``i`` has a cover at letter ``x`` when some member holding ``x``
+    divides it once ``x`` is erased and has its other letters all before
+    ``x`` or all after it (:meth:`covered`).  Letter ``x`` may follow the
+    placed letters (a bitmask) when each member to which it is then
+    internal, holding a placed letter and a letter placed later, has a cover
+    at ``x`` (:meth:`passes`); an ordering is cool iff each of its steps passes.
+    """
+
+    def __init__(self, M: tuple[Monomial, ...], n: int):
+        self.n = n
+        self.members = checked_antichain(M, n)
+        self.rows = [m.exponents for m in self.members]
+        self.index = {s: i for i, s in enumerate(self.rows)}
+        bits = [1 << y for y in range(n)]
+        self.supports = [sum(itertools.compress(bits, s)) for s in self.rows]
+        # _holders[x]: the rows holding x, filed when x is first asked about
+        self._holders: list[dict[int, list[list[tuple[int, int]]]] | None] = [None] * n
+        # _covers[x][i]: the cover masks of member i at x, once asked for
+        self._covers: list[dict[int, list[int]]] = [{} for _ in range(n)]
+        self.steps: dict[int, bool] = {}
+
+    def holders(self, x: int) -> dict[int, list[list[tuple[int, int]]]]:
+        """The rows holding ``x``, filed under their letter mask less ``x``,
+        each as its entries above 1 off ``x``: a row whose mask lies inside a
+        member's support divides it off ``x`` unless one of those is too large."""
+        filed = self._holders[x]
+        if filed is None:
+            filed = self._holders[x] = {}
+            bit = 1 << x
+            for s, supp in zip(self.rows, self.supports):
+                if supp & bit:
+                    high = [(y, e) for y, e in enumerate(s) if e > 1 and y != x]
+                    filed.setdefault(supp & ~bit, []).append(high)
+        return filed
+
+    def covers(self, i: int, x: int) -> list[int]:
+        """The distinct letter masks, less ``x``, of the rows holding ``x``
+        that divide member ``i`` once ``x`` is erased."""
+        masks = self._covers[x].get(i)
+        if masks is None:
+            w, holders = self.rows[i], self.holders(x)
+            # a cover's other letters lie in the member's support; the fewer
+            # of its submasks and the filed masks are tried
+            room = self.supports[i] & ~(1 << x)
+            if 1 << room.bit_count() < len(holders):
+                masks = [c for c in _submasks(room) if c in holders]
+            else:
+                masks = [c for c in holders if c & room == c]
+            masks = self._covers[x][i] = [
+                c for c in masks if any(all(w[y] >= e for y, e in high) for high in holders[c])
+            ]
+        return masks
+
+    def covered(self, i: int, x: int, placed: int) -> bool:
+        """Whether member ``i`` has a cover at ``x`` when the letters of the
+        bitmask ``placed`` come before ``x`` and the others after it."""
+        return any(c & placed == c or not c & placed for c in self.covers(i, x))
+
+    def passes(self, placed: int, x: int) -> bool:
+        """Whether ``x`` may follow the letters of the bitmask ``placed``."""
+        key = placed * self.n + x
+        verdict = self.steps.get(key)
+        if verdict is None:
+            later = ~(placed | 1 << x)
+            verdict = all(
+                self.covered(i, x, placed)
+                for i, supp in enumerate(self.supports)
+                if supp & placed and supp & later  # x is internal to member i
+            )
+            if len(self.steps) < _STEP_MEMO_CAP:
+                self.steps[key] = verdict
+        return verdict
+
+
+@functools.lru_cache(maxsize=1)
+def _step_table(M: tuple[Monomial, ...], n: int) -> _StepTable:
+    """The step table of the set last asked about; a failed check is not kept."""
+    return _StepTable(M, n)
 
 
 def fg_generating_set(

@@ -5,7 +5,18 @@ from typing import Sequence
 
 import pytest
 
-from monoideal.core import Monomial, Ordering, Word, divides, extremal_internal, pi, support
+from monoideal.core import (
+    Monomial,
+    Ordering,
+    Word,
+    _some_row_divides,
+    checked_antichain,
+    divides,
+    extremal_internal,
+    pi,
+    support,
+)
+from monoideal.sorted_ideal import FgWitness, _scan_order
 
 
 def M(*vectors) -> tuple[Monomial, ...]:
@@ -87,6 +98,43 @@ def _cover_masks(rows: Sequence[tuple[int, ...]], w: tuple[int, ...], x: int) ->
 def frozenset_has_extremal_cover(cands, before):
     """Whether a candidate is a subset of, or disjoint from, the letters ranked before ``x``."""
     return any(c <= before or c.isdisjoint(before) for c in cands)
+
+
+# The extremal-filing referee of is_fg_sorted, which shares no code with the
+# step table: each member is filed under the two letters extremal in it.
+def _first_violator(ms: Sequence[Monomial], ord: Ordering) -> tuple[Monomial, int] | None:
+    """The first member ``w`` of ``ms``, in the order given, with an internal
+    letter ``x`` that no member covers, and ``x``; None when there is none.
+
+    A member covers ``x`` in ``w`` when ``x`` is extremal in it and it
+    divides ``w`` once ``x`` is erased: it lies below ``w`` with the entry
+    of ``x`` raised to infinity.  A member is extremal only at its lowest-
+    and highest-ranked letters, so one pass files it under those two.
+    ``ms`` is a checked antichain; its order decides which violator is first.
+    """
+    rank, seq = ord.rank, ord.sequence()
+    extremal: list[list[tuple[int, ...]]] = [[] for _ in seq]
+    spans = []
+    for m in ms:
+        s = m.exponents
+        ranks = list(itertools.compress(rank, s))
+        lo, hi = min(ranks), max(ranks)
+        extremal[seq[lo]].append(s)
+        if hi != lo:
+            extremal[seq[hi]].append(s)
+        spans.append((lo, hi))
+    for w, (lo, hi) in zip(ms, spans):
+        e = w.exponents
+        for x in seq[lo + 1 : hi]:
+            if not _some_row_divides(extremal[x], e[:x] + (math.inf,) + e[x + 1 :]):
+                return w, x
+    return None
+
+
+def referee_witness(members, ord: Ordering) -> FgWitness:
+    """What ``is_fg_sorted`` must return, from the extremal-filing scan."""
+    violator = _first_violator(_scan_order(checked_antichain(members, ord.n), ord), ord)
+    return FgWitness(violator is None, violator)
 
 
 def all_words_up_to(n_letters: int, cap: int):

@@ -725,6 +725,25 @@ def test_cli_budget_exceeded(tmp_path, capsys, monkeypatch):
     assert code == 3 and "error" in payload
 
 
+@pytest.mark.parametrize(
+    "command", [["generators"], ["oracle", "--target", "sorted", "--cap", "4"], ["convexity"]]
+)
+def test_cli_budget_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch, command):
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    argv = [command[0], str(f), *command[1:]]
+    for raw, message in (
+        ("-1", "MONOIDEAL_BUDGET must be nonnegative, got -1"),
+        ("-3", "MONOIDEAL_BUDGET must be nonnegative, got -3"),
+        ("ten", "MONOIDEAL_BUDGET must be an integer, got 'ten'"),
+    ):
+        monkeypatch.setenv("MONOIDEAL_BUDGET", raw)
+        assert run(capsys, *argv) == (2, {"error": message}), raw
+    # a zero budget is legal: the command runs and exceeds it
+    monkeypatch.setenv("MONOIDEAL_BUDGET", "0")
+    assert run(capsys, *argv)[0] == 3
+
+
 def test_cli_box_budget_exceeded(tmp_path, capsys, monkeypatch):
     # both commands count the points of their lattice box against the budget
     monkeypatch.setenv("MONOIDEAL_BUDGET", "1000")

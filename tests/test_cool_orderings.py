@@ -13,7 +13,7 @@ from monoideal.core import (
     checked_antichain,
     support,
 )
-from monoideal import cool_orderings
+from monoideal import sorted_ideal
 from monoideal.cool_orderings import (
     CoolSearchResult,
     all_orderings_cool,
@@ -32,7 +32,7 @@ from monoideal.crosscheck import (
     representative_antichains,
     representative_quadratic_sets,
 )
-from monoideal.sorted_ideal import is_fg_sorted
+from monoideal.sorted_ideal import FgWitness, is_fg_sorted
 from monoideal.torientation import (
     NaeInstance,
     is_valid_t_orientation,
@@ -49,6 +49,7 @@ from conftest import (
     frozenset_cover_supports,
     frozenset_has_extremal_cover,
     internal_letters,
+    referee_witness,
 )
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))
@@ -94,7 +95,7 @@ def _random_quadratic_sets(n, count, seed):
 @functools.cache
 def refereed_sets():
     """The sets the step table is refereed on, each with its letter count and
-    the verdicts of ``is_fg_sorted`` on ``all_orderings(n)``, in that order."""
+    the extremal-filing referee's verdicts on ``all_orderings(n)``, in that order."""
     groups = (
         representative_quadratic_sets(5),
         _random_quadratic_sets(6, 20, seed=15),
@@ -104,7 +105,7 @@ def refereed_sets():
     out = []
     for members in itertools.chain(*groups):
         n = members[0].n
-        out.append((members, n, [is_fg_sorted(members, o).verdict for o in orderings_of(n)]))
+        out.append((members, n, [referee_witness(members, o).verdict for o in orderings_of(n)]))
     return out
 
 
@@ -114,11 +115,11 @@ def orderings_of(n):
 
 
 def test_is_cool_matches_is_fg_sorted_verdict():
-    # is_cool walks the steps of the set's table, is_fg_sorted scans the
-    # members in the order of their sorted words; only the witness may depend
-    # on it.  A step verdict depends on the placed set alone, so remembered
-    # steps must give every ordering's verdict whatever was asked before it:
-    # the orderings come forward, reversed and shuffled.
+    # is_cool walks the steps of the set's table, the referee files each
+    # member under its extremal letters and scans the members in the order of
+    # their sorted words.  A step verdict depends on the placed set alone, so
+    # remembered steps must give every ordering's verdict whatever was asked
+    # before it: the orderings come forward, reversed and shuffled.
     rng = random.Random(19)
     sets = refereed_sets()
     assert [n for _, n, _ in sets[:563]] == [5] * 543 + [6] * 20
@@ -142,13 +143,48 @@ def test_step_table_refuses_an_invalid_set_on_every_call():
         ((Monomial((1, 0)), Monomial((0, 1, 1))), Ordering.identity(2)),
         (AB2C_A3B, Ordering.identity(2)),
     ):
-        expected = outcome(is_fg_sorted, members, ord)
+        expected = outcome(checked_antichain, members, ord.n)
         assert expected[0] == "error"
         assert outcome(is_cool, members, ord) == expected
         assert outcome(is_cool, members, ord) == expected
         assert is_cool(*valid) is False
         assert outcome(is_cool, members, ord) == expected
         assert is_cool(*valid) is False
+
+
+def test_one_table_slot_serves_calls_on_two_sets_one_by_one():
+    # is_fg_sorted, is_cool and find_cool_ordering share one cached table:
+    # calls alternating between two sets must each find their own set's
+    # covers, holders and steps, and an invalid set between them must raise
+    # as on its first call
+    bad = (M((1, 0, 0), (1, 1, 0)), Ordering.identity(3))
+    invalid = outcome(checked_antichain, bad[0], 3)
+    assert invalid[0] == "error"
+    sets = [m for m in representative_antichains(3, 3) if any(e.degree != 2 for e in m)][-60:]
+    sets += [m for m in antichains(4, 2) if any(e.degree != 2 for e in m)][:40]
+    searches = {}
+    for members in sets:
+        sorted_ideal._step_table.cache_clear()
+        searches[members] = find_cool_ordering(members)
+    seen = set()
+    for a, b in zip(sets[::2], sets[1::2]):
+        n = a[0].n
+        for o in orderings_of(n):
+            for members in (a, b):
+                expected = referee_witness(members, o)
+                assert is_fg_sorted(members, o) == expected, (members, o.rank)
+                assert is_cool(members, o) == expected.verdict, (members, o.rank)
+                seen.add(expected.verdict)
+            assert outcome(is_fg_sorted, *bad) == invalid
+        for members in (a, b, a):
+            res = find_cool_ordering(members)
+            assert res == searches[members], members
+            verdicts = [referee_witness(members, o).verdict for o in orderings_of(n)]
+            assert res.found == any(verdicts), members
+            assert not res.found or referee_witness(members, res.ordering).verdict
+            assert outcome(is_cool, *bad) == invalid
+            seen.add(("found", res.found))
+    assert seen == {True, False, ("found", True), ("found", False)}
 
 
 def cool_ordering_count(n, step):
@@ -183,13 +219,13 @@ def frozenset_step(members):
 
 
 def test_cool_ordering_count_over_subsets_matches_the_orderings_scan():
-    # the orderings is_fg_sorted accepts, counted without listing orderings:
+    # the orderings the referee accepts, counted without listing orderings:
     # once over independent step verdicts, once over the step table's
     counts = set()
     for members, n, verdicts in refereed_sets():
         expected = sum(verdicts)
         assert cool_ordering_count(n, frozenset_step(members)) == expected, members
-        table = cool_orderings._step_table(members, n)
+        table = sorted_ideal._step_table(members, n)
         assert cool_ordering_count(n, table.passes) == expected, members
         counts.add(expected)
     assert 0 in counts and 120 in counts and len(counts) > 10
@@ -198,20 +234,20 @@ def test_cool_ordering_count_over_subsets_matches_the_orderings_scan():
 def test_step_memo_stays_under_its_cap():
     # 20 letters: squares of the first 18 and products of neighbours, so most
     # orderings walk far and ask steps no earlier ordering asked; past the
-    # cap, verdicts are computed and still agree with is_fg_sorted
+    # cap, verdicts are computed and still agree with the referee
     n = 20
     rows = [tuple(2 * (i == x) for i in range(n)) for x in range(18)]
     rows += [tuple(int(i in (x, x + 1)) for i in range(n)) for x in range(n - 1)]
     members = M(*rows)
-    cap = cool_orderings._STEP_MEMO_CAP
+    cap = sorted_ideal._STEP_MEMO_CAP
     rng = random.Random(20)
     verdicts = []
     for k in range(20_000):
         ord = Ordering.from_sequence(rng.sample(range(n), n))
         verdicts.append(is_cool(members, ord))
         if k % 1000 == 0:
-            assert verdicts[-1] == is_fg_sorted(members, ord).verdict, ord
-    steps = cool_orderings._step_table(members, n).steps
+            assert verdicts[-1] == referee_witness(members, ord).verdict, ord
+    steps = sorted_ideal._step_table(members, n).steps
     assert len(steps) == cap
     assert set(verdicts) == {True, False}
 
@@ -570,10 +606,13 @@ def test_is_cool_on_the_many_letter_hardness_chain():
     assert quadratic_graph(members, 93) == g and nae3sat_brute(inst)
     res = find_cool_ordering(members)
     assert res.found and is_cool(members, res.ordering)
+    assert is_fg_sorted(members, res.ordering) == FgWitness(True)
     rng = random.Random(16)
-    for _ in range(20):
+    for k in range(20):
         ord = Ordering.from_sequence(rng.sample(range(93), 93))
         assert is_cool(members, ord) == is_valid_t_orientation(g, ordering_to_orientation(g, ord))
+        if k < 5:
+            assert is_fg_sorted(members, ord) == referee_witness(members, ord), ord
 
 
 # The permutation search over letter bitmasks, verbatim, before it remembered
