@@ -227,8 +227,11 @@ class Ordering:
 
 
 def all_orderings(n: int) -> Iterable[Ordering]:
+    rank = [0] * n
     for seq in itertools.permutations(range(n)):
-        yield Ordering.from_sequence(seq)
+        for pos, x in enumerate(seq):
+            rank[x] = pos
+        yield Ordering(tuple(rank))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ any directed path of length two are closed by a directed chord.  The
 module provides validity checking, a complete backtracking search with
 unit propagation, the two gadget graphs used to encode not-all-equal
 satisfiability, and the reduction itself together with its brute-force
-referee.
+referee.  The search keeps its state per edge index; its own referees, a
+brute force over all directions and its former arc-keyed form, are tests.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
@@ -121,57 +121,49 @@ def is_valid_t_orientation(g: TGraph, o: Orientation) -> bool:
 class _Solver:
     """Backtracking search for T-orientations with unit propagation.
 
-    The state of edge ``i`` is its arc ``arcs[i]``, or None while free.
+    The state of edge ``i`` is its arc ``arcs[i]``, or None while free;
+    ``eid[x][z]`` is the edge x-z's index with its arcs out of and into x.
     Propagation closes directed two-paths through T-vertices: an oriented
     pair forces the chord, and a missing chord forces the still-free half
     of the pair to point the same way at the T-vertex.  An arc is refused
     when its head already reaches its tail along assigned arcs (``heads``
-    lists them per tail, in assignment order); arcs are only ever added, so
-    this fails a branch exactly when the orientation it reaches is cyclic.
-    Branching picks the free edge with the most endpoints in T (ties by
-    edge index, as the sort is stable), trying the stored direction first,
-    so the first solution found is deterministic.
+    lists them per tail in assignment order, ``indeg`` counts them per
+    head); arcs are only ever added, so this fails a branch exactly when
+    the orientation it reaches is cyclic.  Branching picks the free edge
+    with the most endpoints in T (ties by edge index: the sort is stable),
+    trying the stored direction first, so the first solution found is
+    deterministic, and the edges before it in that order stay set below it.
     """
 
     def __init__(self, g: TGraph):
         self.g = g
-        self.index: dict[tuple[int, int], int] = {}
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+        self.eid: list[dict[int, tuple]] = [{} for _ in range(g.vertex_count)]
         for i, (u, v) in enumerate(g.edges):
-            self.index[u, v] = self.index[v, u] = i
-            self.adj[u].append((i, v))
-            self.adj[v].append((i, u))
+            self.eid[u][v], self.eid[v][u] = (i, (u, v), (v, u)), (i, (v, u), (u, v))
         self.arcs: list[tuple[int, int] | None] = [None] * len(g.edges)
         self.heads: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        self.indeg = [0] * g.vertex_count
         self.trail: list[int] = []
         self.nodes = 0
         self.branch_order = sorted(
             range(len(g.edges)), key=lambda i: -len(g.tset.intersection(g.edges[i]))
         )
 
-    def _reaches(self, src: int, dst: int) -> bool:
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for w in self.heads[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    def _assign(self, tail: int, head: int, queue: list[int]) -> bool:
-        i = self.index.get((tail, head))
-        if i is None:
-            return False
-        if self.arcs[i] is not None:
-            return self.arcs[i] == (tail, head)
-        if self._reaches(head, tail):
-            return False
-        self.arcs[i] = (tail, head)
+    def _assign(self, i: int, arc: tuple[int, int], queue: list[int]) -> bool:
+        tail, head = arc
+        # a path from head to tail leaves head and enters tail
+        if self.indeg[tail] and self.heads[head]:
+            seen, stack = {head}, [head]
+            while stack:
+                for w in self.heads[stack.pop()]:
+                    if w == tail:
+                        return False
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        self.arcs[i] = arc
         self.heads[tail].append(head)
+        self.indeg[head] += 1
         self.trail.append(i)
         queue.append(i)
         return True
@@ -179,50 +171,64 @@ class _Solver:
     def _propagate(self, queue: list[int]) -> bool:
         # y is the T-endpoint of the popped arc and x its other endpoint;
         # only the popped edge joins y to x in a simple graph
+        arcs, eid, tset = self.arcs, self.eid, self.g.tset
         while queue:
             i = queue.pop()
-            tail, head = self.arcs[i]
+            tail, head = arcs[i]
             for y, x, inward in ((head, tail, True), (tail, head, False)):
-                if y not in self.g.tset:
+                if y not in tset:
                     continue
-                for j, z in self.adj[y]:
-                    a = self.arcs[j]
-                    if a is None and (x, z) not in self.index:
+                chords = eid[x]
+                for z, (j, out, into) in eid[y].items():
+                    a = arcs[j]
+                    if a is None:
+                        if z in chords:
+                            continue
                         # no chord x-z: j must point the same way at y
-                        arc = (z, y) if inward else (y, z)
-                    elif a is not None and j != i and (a[1] == y) != inward:
+                        k, arc = j, into if inward else out
+                    elif j != i and (a[1] == y) != inward:
                         # a directed two-path through y: force its chord
-                        arc = (x, z) if inward else (z, x)
+                        if z not in chords:
+                            return False
+                        k, x_to_z, z_to_x = chords[z]
+                        arc = x_to_z if inward else z_to_x
+                        if arcs[k] is not None:
+                            if arcs[k] != arc:
+                                return False
+                            continue
                     else:
                         continue
-                    if not self._assign(*arc, queue):
+                    if not self._assign(k, arc, queue):
                         return False
         return True
 
     def solve(self, limit: int | None) -> list[Orientation]:
         solutions: list[Orientation] = []
+        arcs, order, trail = self.arcs, self.branch_order, self.trail
 
-        def descend() -> bool:
-            i = next((i for i in self.branch_order if self.arcs[i] is None), None)
-            if i is None:
-                solutions.append(Orientation(tuple(self.arcs)))
+        def descend(start: int) -> bool:
+            pos = next((p for p in range(start, len(order)) if arcs[order[p]] is None), None)
+            if pos is None:
+                solutions.append(Orientation(tuple(arcs)))
                 return limit is not None and len(solutions) >= limit
+            i = order[pos]
             u, v = self.g.edges[i]
             for arc in ((u, v), (v, u)):
-                mark = len(self.trail)
+                mark = len(trail)
                 self.nodes += 1
                 q: list[int] = []
-                if self._assign(*arc, q) and self._propagate(q):
-                    if descend():
+                if self._assign(i, arc, q) and self._propagate(q):
+                    if descend(pos + 1):
                         return True
                 # the trail is undone last arc first, so each tail's last head goes
-                while len(self.trail) > mark:
-                    j = self.trail.pop()
-                    self.heads[self.arcs[j][0]].pop()
-                    self.arcs[j] = None
+                while len(trail) > mark:
+                    j = trail.pop()
+                    self.heads[arcs[j][0]].pop()
+                    self.indeg[arcs[j][1]] -= 1
+                    arcs[j] = None
             return False
 
-        descend()
+        descend(0)
         return solutions
 
 
@@ -236,29 +242,6 @@ def t_orientation_search_stats(g: TGraph) -> tuple[Orientation | None, int]:
     solver = _Solver(g)
     solutions = solver.solve(limit=1)
     return (solutions[0] if solutions else None), solver.nodes
-
-
-def enumerate_t_orientations(g: TGraph) -> list[Orientation]:
-    return _Solver(g).solve(limit=None)
-
-
-# Edges past which the brute force refuses a graph: 2^20 assignments.
-BRUTE_FORCE_MAX_EDGES = 20
-
-
-def brute_force_t_orientations(g: TGraph) -> list[Orientation]:
-    """All valid T-orientations by trying every one of the 2^m assignments."""
-    if len(g.edges) > BRUTE_FORCE_MAX_EDGES:
-        raise MonoidealError(f"brute force refuses more than {BRUTE_FORCE_MAX_EDGES} edges")
-    out = []
-    for signs in itertools.product((False, True), repeat=len(g.edges)):
-        arcs = tuple(
-            (v, u) if flip else (u, v) for (u, v), flip in zip(g.edges, signs)
-        )
-        o = Orientation(arcs)
-        if is_valid_t_orientation(g, o):
-            out.append(o)
-    return out
 
 
 def ordering_to_orientation(g: TGraph, ord: Ordering) -> Orientation:
@@ -279,24 +262,6 @@ def orientation_to_ordering(g: TGraph, o: Orientation) -> Ordering:
     if len(seq) != g.vertex_count:
         raise MonoidealError("orientation is cyclic; no topological order exists")
     return Ordering.from_sequence(seq)
-
-
-def direct_small_t_orientation(g: TGraph) -> Orientation:
-    """A valid T-orientation built directly when |T| <= 2.
-
-    One T-vertex is placed globally first (a source) and the other globally
-    last (a sink); transitivity at a source or sink is vacuous and the
-    positional orientation is acyclic.
-    """
-    if len(g.tset) > 2:
-        raise MonoidealError("direct construction only applies when |T| <= 2")
-    tlist = sorted(g.tset)
-    middle = [v for v in range(g.vertex_count) if v not in g.tset]
-    if len(tlist) == 2:
-        seq = [tlist[0]] + middle + [tlist[1]]
-    else:
-        seq = tlist + middle
-    return ordering_to_orientation(g, Ordering.from_sequence(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ bounded enumeration of minimal word generators driven by any factor-closed
 membership predicate, and a finiteness probe that cross-checks the fast
 finite-generation criterion.  The enumerations of the two word ideals
 carry letter counts with each stem instead of calling the membership
-tests, which stay their referee in the tests.  Everything here is
-deliberately independent of the fast decision procedures so it can
-referee them: the walk shares only core's dominance test with the code it
-referees, and ``divides`` with the ``word_in_*`` tests referee that test.
+tests, which stay their referee in the tests; they walk words, as they
+return words, while the probe walks pairs of states.  Everything here is
+independent of the fast decision procedures so it can referee them: the
+walks share only core's dominance test with the code they referee, and
+``divides`` with the ``word_in_*`` tests referee that test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .core import (
@@ -179,30 +181,25 @@ def enumerate_minimal_generators(
     )
 
 
-def _count_walk(
-    rows: tuple[tuple[int, ...], ...],
-    rank: Sequence[int],
-    cap: int,
-    budget: int,
-) -> EnumerationReport:
-    """Walk whose states carry the letter counts of each stem's trailing
-    maximal sorted segment under ``rank``.
+def _count_states(rows: tuple[tuple[int, ...], ...], rank: Sequence[int]):
+    """The empty word's count state, and the successor table of the states.
 
-    A stem is a non-member, so every segment before its last one already
-    fails: ``stem + z`` is a member exactly when the trailing segment,
-    extended by ``z``, dominates a row.  A state is the stem's last letter
-    with the counts of that segment; the counts restart when ``z`` ranks
-    below the last letter.  Counts are capped at the largest exponent of
-    their letter in the rows, which decides the same dominance and keeps
-    the states few.  Each state's successors are computed once per call,
-    so stems with equal states share one row of successor states.
+    A state carries the letter counts of a non-member's trailing maximal
+    sorted segment under ``rank``.  Every segment before the last one
+    already fails, so ``u + z`` is a member exactly when the trailing
+    segment, extended by ``z``, dominates a row.  A state is the last
+    letter with the counts of that segment; the counts restart when ``z``
+    ranks below the last letter.  Counts are capped at the largest exponent
+    of their letter in the rows, which decides the same dominance and keeps
+    the states few.  ``successors(state)``, computed once per state, lists
+    the state of each one-letter extension, None for a member.
     """
     n = len(rank)
     top = tuple(map(max, zip(*rows)))
     zero = (0,) * n
     table: dict[object, list[object]] = {}
 
-    def successors(stem, state):
+    def successors(state):
         row = table.get(state)
         if row is None:
             last, counts = state
@@ -214,8 +211,43 @@ def _count_walk(
                 row.append(None if _some_row_divides(rows, c) else (z, c))
         return row
 
-    first = min(range(n), key=rank.__getitem__)
-    return _walk(lambda: (first, zero), successors, n, cap, budget)
+    return (min(range(n), key=rank.__getitem__), zero), successors
+
+
+def _count_walk(rows, rank: Sequence[int], cap: int, budget: int) -> EnumerationReport:
+    root, successors = _count_states(rows, rank)
+    return _walk(lambda: root, lambda stem, state: successors(state), len(rank), cap, budget)
+
+
+def _pair_walk(rows, rank: Sequence[int], bound: int, budget: int) -> bool:
+    """No minimal generator of the sorted-word ideal of ``rows`` has its
+    length in ``(bound, bound + 2]``: a walk over levels of pairs of count
+    states, of a non-member stem and of the stem less its first letter.
+    ``stem + z`` is a minimal generator exactly when the stem's successor
+    on ``z`` is a member and the tail's is not.  Tests count against
+    ``budget`` as in ``_walk``, one per (pair, letter).
+    """
+    root, successors = _count_states(rows, rank)
+    # the empty word counts as one test, and is each one-letter word's tail
+    tests, level = 1, {(root, None)}
+    for length in range(1, bound + 3):
+        if not level:
+            break
+        tests += len(level) * len(rank)
+        if tests > budget:
+            raise BudgetExceededError(
+                f"membership budget of {budget} tests exceeded at length {length}"
+            )
+        following = set()
+        for stem, tail in level:
+            tails = successors(tail) if tail else repeat(root)
+            for s, t in zip(successors(stem), tails):
+                if s is not None:
+                    following.add((s, t))
+                elif t is not None and length > bound:
+                    return False
+        level = following
+    return True
 
 
 def sorted_ideal_report(
@@ -256,9 +288,9 @@ def finiteness_probe(M: Sequence[Monomial], ord: Ordering) -> bool:
     Positive instances have all minimal generators within the completeness
     bound, so finding none beyond it (searching two letters past, to expose
     the pumped families of negative instances) decides finite generation at
-    desk scale.
+    desk scale.  The search walks pairs of count states, not words.
     """
     M = tuple(M)  # read twice below
     bound = complete_enumeration_bound(M, ord)
-    report = sorted_ideal_report(M, ord, bound + 2)
-    return all(len(w) <= bound for w in report.minimal_generators)
+    rows = tuple(m.exponents for m in nonunit_set(M, ord.n))
+    return not rows or _pair_walk(rows, ord.rank, bound, DEFAULT_MEMBERSHIP_BUDGET)

@@ -7,6 +7,7 @@ import pytest
 
 from monoideal.core import (
     Monomial,
+    MonoidealError,
     Ordering,
     Word,
     _some_row_divides,
@@ -17,6 +18,13 @@ from monoideal.core import (
     support,
 )
 from monoideal.sorted_ideal import FgWitness, _scan_order
+from monoideal.torientation import (
+    Orientation,
+    TGraph,
+    _Solver,
+    is_valid_t_orientation,
+    ordering_to_orientation,
+)
 
 
 def M(*vectors) -> tuple[Monomial, ...]:
@@ -141,3 +149,159 @@ def all_words_up_to(n_letters: int, cap: int):
     for length in range(cap + 1):
         for tup in itertools.product(range(n_letters), repeat=length):
             yield Word(tup)
+
+
+# ---------------------------------------------------------------------------
+# T-orientation referees
+
+class ReferenceSolver:
+    """Backtracking search for T-orientations with unit propagation.
+
+    The state of edge ``i`` is its arc ``arcs[i]``, or None while free.
+    Propagation closes directed two-paths through T-vertices: an oriented
+    pair forces the chord, and a missing chord forces the still-free half
+    of the pair to point the same way at the T-vertex.  An arc is refused
+    when its head already reaches its tail along assigned arcs (``heads``
+    lists them per tail, in assignment order); arcs are only ever added, so
+    this fails a branch exactly when the orientation it reaches is cyclic.
+    Branching picks the free edge with the most endpoints in T (ties by
+    edge index, as the sort is stable), trying the stored direction first,
+    so the first solution found is deterministic.
+
+    The package's ``_Solver`` computes the same search per edge index; this
+    copy of its former arc-keyed form is its referee: equal solutions in
+    equal order, and equal node counts.
+    """
+
+    def __init__(self, g: TGraph):
+        self.g = g
+        self.index: dict[tuple[int, int], int] = {}
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+        for i, (u, v) in enumerate(g.edges):
+            self.index[u, v] = self.index[v, u] = i
+            self.adj[u].append((i, v))
+            self.adj[v].append((i, u))
+        self.arcs: list[tuple[int, int] | None] = [None] * len(g.edges)
+        self.heads: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        self.trail: list[int] = []
+        self.nodes = 0
+        self.branch_order = sorted(
+            range(len(g.edges)), key=lambda i: -len(g.tset.intersection(g.edges[i]))
+        )
+
+    def _reaches(self, src: int, dst: int) -> bool:
+        seen = {src}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            if v == dst:
+                return True
+            for w in self.heads[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    def _assign(self, tail: int, head: int, queue: list[int]) -> bool:
+        i = self.index.get((tail, head))
+        if i is None:
+            return False
+        if self.arcs[i] is not None:
+            return self.arcs[i] == (tail, head)
+        if self._reaches(head, tail):
+            return False
+        self.arcs[i] = (tail, head)
+        self.heads[tail].append(head)
+        self.trail.append(i)
+        queue.append(i)
+        return True
+
+    def _propagate(self, queue: list[int]) -> bool:
+        # y is the T-endpoint of the popped arc and x its other endpoint;
+        # only the popped edge joins y to x in a simple graph
+        while queue:
+            i = queue.pop()
+            tail, head = self.arcs[i]
+            for y, x, inward in ((head, tail, True), (tail, head, False)):
+                if y not in self.g.tset:
+                    continue
+                for j, z in self.adj[y]:
+                    a = self.arcs[j]
+                    if a is None and (x, z) not in self.index:
+                        # no chord x-z: j must point the same way at y
+                        arc = (z, y) if inward else (y, z)
+                    elif a is not None and j != i and (a[1] == y) != inward:
+                        # a directed two-path through y: force its chord
+                        arc = (x, z) if inward else (z, x)
+                    else:
+                        continue
+                    if not self._assign(*arc, queue):
+                        return False
+        return True
+
+    def solve(self, limit: int | None) -> list[Orientation]:
+        solutions: list[Orientation] = []
+
+        def descend() -> bool:
+            i = next((i for i in self.branch_order if self.arcs[i] is None), None)
+            if i is None:
+                solutions.append(Orientation(tuple(self.arcs)))
+                return limit is not None and len(solutions) >= limit
+            u, v = self.g.edges[i]
+            for arc in ((u, v), (v, u)):
+                mark = len(self.trail)
+                self.nodes += 1
+                q: list[int] = []
+                if self._assign(*arc, q) and self._propagate(q):
+                    if descend():
+                        return True
+                # the trail is undone last arc first, so each tail's last head goes
+                while len(self.trail) > mark:
+                    j = self.trail.pop()
+                    self.heads[self.arcs[j][0]].pop()
+                    self.arcs[j] = None
+            return False
+
+        descend()
+        return solutions
+
+
+def enumerate_t_orientations(g: TGraph) -> list[Orientation]:
+    return _Solver(g).solve(limit=None)
+
+
+# Edges past which the brute force refuses a graph: 2^20 assignments.
+BRUTE_FORCE_MAX_EDGES = 20
+
+
+def brute_force_t_orientations(g: TGraph) -> list[Orientation]:
+    """All valid T-orientations by trying every one of the 2^m assignments."""
+    if len(g.edges) > BRUTE_FORCE_MAX_EDGES:
+        raise MonoidealError(f"brute force refuses more than {BRUTE_FORCE_MAX_EDGES} edges")
+    out = []
+    for signs in itertools.product((False, True), repeat=len(g.edges)):
+        arcs = tuple(
+            (v, u) if flip else (u, v) for (u, v), flip in zip(g.edges, signs)
+        )
+        o = Orientation(arcs)
+        if is_valid_t_orientation(g, o):
+            out.append(o)
+    return out
+
+
+def direct_small_t_orientation(g: TGraph) -> Orientation:
+    """A valid T-orientation built directly when |T| <= 2.
+
+    One T-vertex is placed globally first (a source) and the other globally
+    last (a sink); transitivity at a source or sink is vacuous and the
+    positional orientation is acyclic.
+    """
+    if len(g.tset) > 2:
+        raise MonoidealError("direct construction only applies when |T| <= 2")
+    tlist = sorted(g.tset)
+    middle = [v for v in range(g.vertex_count) if v not in g.tset]
+    if len(tlist) == 2:
+        seq = [tlist[0]] + middle + [tlist[1]]
+    else:
+        seq = tlist + middle
+    return ordering_to_orientation(g, Ordering.from_sequence(seq))

@@ -59,8 +59,6 @@ from monoideal.sorted_ideal import (
 )
 from monoideal.torientation import (
     GADGET3_SPECIAL_EDGES,
-    brute_force_t_orientations,
-    enumerate_t_orientations,
     gadget3,
     t_orientation_search,
     top_hat,
@@ -71,7 +69,7 @@ from monoideal.word_oracle import (
     sorted_ideal_report,
 )
 
-from conftest import M, W
+from conftest import M, W, brute_force_t_orientations, enumerate_t_orientations
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))  # {a b^2 c, a^3 b}
 

@@ -10,9 +10,6 @@ from monoideal.torientation import (
     Orientation,
     TGraph,
     _Solver,
-    brute_force_t_orientations,
-    direct_small_t_orientation,
-    enumerate_t_orientations,
     format_tgraph,
     gadget3,
     is_valid_t_orientation,
@@ -24,6 +21,13 @@ from monoideal.torientation import (
     t_orientation_search,
     t_orientation_search_stats,
     top_hat,
+)
+
+from conftest import (
+    ReferenceSolver,
+    brute_force_t_orientations,
+    direct_small_t_orientation,
+    enumerate_t_orientations,
 )
 
 
@@ -133,53 +137,39 @@ def test_search_stats_pinned(g, nodes, sequence):
         assert orientation_to_ordering(g, found).sequence() == sequence
 
 
-class _AdjacencyScanSolver(_Solver):
-    """The solver with its former reachability test, which scans every
-    incident edge and compares its state with the arc."""
-
-    def _reaches(self, src: int, dst: int) -> bool:
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for j, w in self.adj[v]:
-                if w not in seen and self.arcs[j] == (v, w):
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-
-def _parity_graphs():
-    rng = random.Random(21)
-    for v in range(4, 13):
-        for _ in range(2):
+def _nae_graphs(rng, sizes, per_size):
+    """Reductions of random NAE-3SAT instances with 2v clauses on v variables."""
+    for v in sizes:
+        for _ in range(per_size):
             clauses = tuple(
                 tuple(rng.choice((1, -1)) * x for x in rng.sample(range(1, v + 1), 3))
                 for _ in range(2 * v)
             )
             yield nae3sat_reduce(NaeInstance(v, clauses))
+
+
+def _parity_graphs():
+    rng = random.Random(21)
+    yield from _nae_graphs(rng, range(4, 13), 2)
     for _ in range(60):
         n = rng.randint(3, 9)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         yield TGraph.make(n, edges, rng.sample(range(n), rng.randint(0, n)))
 
 
-def test_solver_reachability_over_assigned_arcs_matches_adjacency_scan():
-    enumerated = 0
-    for g in _parity_graphs():
-        new, old = _Solver(g), _AdjacencyScanSolver(g)
+def test_solver_matches_arc_keyed_referee():
+    # the same first solution, node count and enumeration order as the
+    # referee, on small graphs and on NAE instances where the search branches
+    for g in itertools.chain(_parity_graphs(), _nae_graphs(random.Random(2), range(14, 21), 1)):
+        new, old = _Solver(g), ReferenceSolver(g)
         assert new.solve(limit=1) == old.solve(limit=1), g
         assert new.nodes == old.nodes, g
-        # the head lists hold exactly the assigned arcs, whether the search
-        # stopped at a solution or undid every arc
+        # the head lists and in-degrees hold exactly the assigned arcs,
+        # whether the search stopped at a solution or undid every arc
         assigned = sorted(a for a in new.arcs if a is not None)
         assert sorted((u, w) for u, heads in enumerate(new.heads) for w in heads) == assigned
-        if len(g.edges) <= 12:
-            assert enumerate_t_orientations(g) == _AdjacencyScanSolver(g).solve(limit=None), g
-            enumerated += 1
-    assert enumerated > 30
+        assert new.indeg == [sum(h == v for _, h in assigned) for v in range(g.vertex_count)]
+        assert enumerate_t_orientations(g) == ReferenceSolver(g).solve(limit=None), g
 
 
 def test_forced_directed_triangle_has_no_extension():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +17,11 @@ from monoideal.core import (
     sort_word,
     word_is_factor,
 )
-from monoideal.crosscheck import antichains
-from monoideal.sorted_ideal import complete_enumeration_bound
+from monoideal.crosscheck import antichains, representative_antichains
+from monoideal.sorted_ideal import complete_enumeration_bound, is_fg_sorted
 from monoideal.word_oracle import (
     EnumerationReport,
+    _pair_walk,
     enumerate_minimal_generators,
     finiteness_probe,
     preimage_report,
@@ -164,6 +167,49 @@ def test_finiteness_probe_singletons():
     # a singleton with an internal letter pumps forever: infinite
     assert finiteness_probe(M((2, 3, 1)), IDENT3) is False
     assert finiteness_probe(M((2, 0, 3)), IDENT3) is False
+
+
+def _word_probe(members, ord):
+    """The probe by the word walk: no minimal generator found up to two
+    letters past the completeness bound lies beyond it."""
+    bound = complete_enumeration_bound(members, ord)
+    report = sorted_ideal_report(members, ord, bound + 2)
+    return all(len(w) <= bound for w in report.minimal_generators)
+
+
+def test_pair_walk_probe_matches_word_walk_probe():
+    pairs = 0
+    for n, degree in ((3, 3), (4, 2)):
+        for members in representative_antichains(n, degree):
+            for ord in all_orderings(n):
+                assert finiteness_probe(members, ord) == _word_probe(members, ord), (members, ord)
+                pairs += 1
+    assert pairs == 5820
+
+
+@pytest.mark.parametrize(
+    "members",
+    [M((12, 0, 12), (0, 3, 0)), M((5, 0, 5), (0, 4, 0), (2, 2, 0)), M((6, 0, 6))],
+    ids=["a12c12-b3", "a5c5-b4-a2b2", "a6c6"],
+)
+def test_probe_on_exponent_heavy_sets(members):
+    # the word walk's levels grow exponentially with the exponents here
+    # (from 3 s to past a 2e7-test budget); the pair walk's levels are
+    # bounded by the count states
+    start = time.process_time()
+    probe = finiteness_probe(members, IDENT3)
+    assert time.process_time() - start < 1
+    assert probe == is_fg_sorted(members, IDENT3).verdict
+
+
+def test_pair_walk_budget_names_the_length():
+    # one test for the empty word and three for its extensions; the three
+    # non-member letters' nine extensions then pass a budget of 5
+    rows = tuple(m.exponents for m in AB2C_A3B)
+    with pytest.raises(BudgetExceededError) as info:
+        _pair_walk(rows, IDENT3.rank, 6, 5)
+    assert str(info.value) == "membership budget of 5 tests exceeded at length 2"
+    assert _pair_walk(rows, BAC.rank, complete_enumeration_bound(AB2C_A3B, BAC), 10**6)
 
 
 def _predicate_report(target, M, ord, cap, budget):
