@@ -85,23 +85,6 @@ def helps(w: Monomial, m: Monomial, x: int) -> bool:
     return support(erase(w, x)) < support(erase(m, x))
 
 
-def closed_subset_check(M: Sequence[Monomial], N: Sequence[Monomial]) -> bool:
-    """True when N already contains every member of M that helps it."""
-    ms = monomial_set(M)
-    ns = monomial_set(N)
-    if not set(ns) <= set(ms):
-        raise MonoidealError("N must be a subset of M")
-    n_letters = ms[0].n if ms else 0
-    nset = set(ns)
-    for w in ms:
-        if w in nset:
-            continue
-        for m in ns:
-            if any(helps(w, m, x) for x in range(n_letters)):
-                return False
-    return True
-
-
 def support_filter(M: Sequence[Monomial], k: int) -> tuple[Monomial, ...]:
     if k < 0:
         raise ValueError("support size bound must be nonnegative")

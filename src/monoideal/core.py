@@ -348,10 +348,6 @@ def _check_nonunit_rows(rows: Sequence[tuple[int, ...]], n: int | None) -> None:
         raise AlphabetMismatchError("monomial and ordering sizes differ")
 
 
-def is_antichain(M: Iterable[Monomial]) -> bool:
-    return _is_antichain_rows(_distinct_rows(M)[1])
-
-
 def nonunit_set(M: Iterable[Monomial], n: int | None = None) -> tuple[Monomial, ...]:
     """The distinct members of ``M``: nonunits over one alphabet, of ``n`` letters if given."""
     ms, rows = _distinct_rows(M)

@@ -135,11 +135,6 @@ def membership(sys: IneqSystem, x: Sequence[int]) -> bool:
     return _member(sys, _check_vector(sys, x))
 
 
-def is_minimal_generator(sys: IneqSystem, x: Sequence[int]) -> bool:
-    """In the ideal, but out of it after decrementing any positive coordinate."""
-    return _is_minimal(sys, _check_vector(sys, x))
-
-
 def enumerate_minimal_generators(
     sys: IneqSystem, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
@@ -176,9 +171,9 @@ def enumerate_minimal_generators(
     Why nothing else is returned.  Every recorded candidate is in the
     ideal.  A candidate that is not minimal lies above a minimal
     generator, so one decrement of it stays in the ideal, and the final
-    test (``is_minimal_generator``'s kernel, one Ax per candidate)
-    removes it.  The result equals the box points that are minimal
-    generators, in the same sorted order.
+    test (``_is_minimal``, one Ax per candidate) removes it.  The result
+    equals the box points that are minimal generators, in the same sorted
+    order.
     """
     if not sys.thresholds:
         return ()
@@ -321,16 +316,6 @@ def _hull_test(rows: Sequence[tuple[int, ...]]) -> Callable[[Sequence[int]], boo
         )
 
     return test
-
-
-def in_hull_plus_orthant(M: Sequence[Monomial], x: Sequence[int]) -> bool:
-    """Whether x dominates a convex combination of the members of M."""
-    ms = monomial_set(M)
-    if not ms:
-        return False
-    if len(x) != ms[0].n:
-        raise MonoidealError("vector length does not match the alphabet")
-    return _hull_test([m.exponents for m in ms])(x)
 
 
 def convexity_check(

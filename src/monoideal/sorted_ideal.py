@@ -370,6 +370,9 @@ def complete_enumeration_bound(M: Sequence[Monomial], ord: Ordering) -> int:
     ``r_x(M) - 1``.  Its length is therefore at most
     ``deg(w) + sum_x (r_x(M) - 1 - deg_x(w)) <= deg(w) + sum_x (r_x(M) - 1)``,
     and the maximum of the right-hand side over ``w`` bounds all of them.
+    On a negative instance it bounds nothing and can fall below a member's
+    degree: an internal letter that is never extremal has ``r_x(M) = 0``,
+    so {a e^2} under a < b < c < d < e gives 0.
     """
     ms = monomial_set(M)
     return _length_bound(ms, *_extremal_scan(ms, ord))

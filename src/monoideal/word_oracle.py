@@ -2,11 +2,12 @@
 
 Membership tests for the two word ideals attached to a monomial set, a
 bounded enumeration of minimal word generators driven by any factor-closed
-membership predicate, and a finiteness probe that cross-checks the fast
-finite-generation criterion.  The enumerations of the two word ideals
+membership predicate, and an exact finiteness probe that cross-checks the
+fast finite-generation criterion.  The enumerations of the two word ideals
 carry letter counts with each stem instead of calling the membership
 tests, which stay their referee in the tests; they walk words, as they
-return words, while the probe walks pairs of states.  Everything here is
+return words, while the probe walks levels of pairs of states and stops
+at the period of those levels, with no length cap.  Everything here is
 independent of the fast decision procedures so it can referee them: the
 walks share only core's dominance test with the code they referee, and
 ``divides`` with the ``word_in_*`` tests referee that test.
@@ -29,7 +30,6 @@ from .core import (
     pi,
     sorted_words,
 )
-from .sorted_ideal import complete_enumeration_bound
 
 DEFAULT_MEMBERSHIP_BUDGET = 20_000_000
 
@@ -219,20 +219,26 @@ def _count_walk(rows, rank: Sequence[int], cap: int, budget: int) -> Enumeration
     return _walk(lambda: root, lambda stem, state: successors(state), len(rank), cap, budget)
 
 
-def _pair_walk(rows, rank: Sequence[int], bound: int, budget: int) -> bool:
-    """No minimal generator of the sorted-word ideal of ``rows`` has its
-    length in ``(bound, bound + 2]``: a walk over levels of pairs of count
-    states, of a non-member stem and of the stem less its first letter.
-    ``stem + z`` is a minimal generator exactly when the stem's successor
-    on ``z`` is a member and the tail's is not.  Tests count against
-    ``budget`` as in ``_walk``, one per (pair, letter).
+def _pair_walk(rows, rank: Sequence[int], budget: int) -> bool:
+    """Whether the sorted-word ideal of ``rows`` under ``rank`` (the
+    preimage ideal when every rank is equal) has finitely many minimal
+    generators: a walk over levels of pairs of count states, of a
+    non-member stem and of the stem less its first letter.  ``stem + z``
+    is a minimal generator exactly when the stem's successor on ``z`` is a
+    member and the tail's is not.  Each level is a function of the one
+    before it and decides which lengths emit, so the levels are eventually
+    periodic; the walk stops at the first level seen twice, and the
+    generators are finite exactly when the period emits none.  Tests count
+    against ``budget`` as in ``_walk``, one per (pair, letter).
     """
     root, successors = _count_states(rows, rank)
     # the empty word counts as one test, and is each one-letter word's tail
-    tests, level = 1, {(root, None)}
-    for length in range(1, bound + 3):
-        if not level:
-            break
+    tests, level, length = 1, frozenset({(root, None)}), 0
+    seen: dict[frozenset, int] = {}
+    last_emission = 0
+    while level not in seen:
+        seen[level] = length
+        length += 1
         tests += len(level) * len(rank)
         if tests > budget:
             raise BudgetExceededError(
@@ -244,10 +250,12 @@ def _pair_walk(rows, rank: Sequence[int], bound: int, budget: int) -> bool:
             for s, t in zip(successors(stem), tails):
                 if s is not None:
                     following.add((s, t))
-                elif t is not None and length > bound:
-                    return False
-        level = following
-    return True
+                elif t is not None:
+                    last_emission = length
+        level = frozenset(following)
+    # a level of length-l stems emits generators of length l + 1, so the
+    # period emits none when the last emission is no longer than its start
+    return last_emission <= seen[level]
 
 
 def sorted_ideal_report(
@@ -283,14 +291,11 @@ def preimage_report(
 
 
 def finiteness_probe(M: Sequence[Monomial], ord: Ordering) -> bool:
-    """Finiteness evidence for the sorted-word ideal, by exhaustion.
+    """Finite generation of the sorted-word ideal, decided by exhaustion.
 
-    Positive instances have all minimal generators within the completeness
-    bound, so finding none beyond it (searching two letters past, to expose
-    the pumped families of negative instances) decides finite generation at
-    desk scale.  The search walks pairs of count states, not words.
+    The walk over pairs of count states stops at the period of its levels,
+    so it is exact with no length cap and reads nothing of the criterion
+    it referees.
     """
-    M = tuple(M)  # read twice below
-    bound = complete_enumeration_bound(M, ord)
     rows = tuple(m.exponents for m in nonunit_set(M, ord.n))
-    return not rows or _pair_walk(rows, ord.rank, bound, DEFAULT_MEMBERSHIP_BUDGET)
+    return not rows or _pair_walk(rows, ord.rank, DEFAULT_MEMBERSHIP_BUDGET)

@@ -1,7 +1,7 @@
 import itertools
 import math
 from operator import le
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -10,13 +10,18 @@ from monoideal.core import (
     MonoidealError,
     Ordering,
     Word,
+    _distinct_rows,
+    _is_antichain_rows,
     _some_row_divides,
     checked_antichain,
     divides,
     extremal_internal,
+    monomial_set,
     pi,
     support,
 )
+from monoideal.cool_orderings import helps
+from monoideal.polyhedral import IneqSystem, _check_vector, _hull_test, _is_minimal
 from monoideal.sorted_ideal import FgWitness, _scan_order
 from monoideal.torientation import (
     Orientation,
@@ -305,3 +310,42 @@ def direct_small_t_orientation(g: TGraph) -> Orientation:
     else:
         seq = tlist + middle
     return ordering_to_orientation(g, Ordering.from_sequence(seq))
+
+
+# Checks that only the tests call.
+
+
+def is_antichain(M: Iterable[Monomial]) -> bool:
+    return _is_antichain_rows(_distinct_rows(M)[1])
+
+
+def closed_subset_check(M: Sequence[Monomial], N: Sequence[Monomial]) -> bool:
+    """True when N already contains every member of M that helps it."""
+    ms = monomial_set(M)
+    ns = monomial_set(N)
+    if not set(ns) <= set(ms):
+        raise MonoidealError("N must be a subset of M")
+    n_letters = ms[0].n if ms else 0
+    nset = set(ns)
+    for w in ms:
+        if w in nset:
+            continue
+        for m in ns:
+            if any(helps(w, m, x) for x in range(n_letters)):
+                return False
+    return True
+
+
+def is_minimal_generator(sys: IneqSystem, x: Sequence[int]) -> bool:
+    """In the ideal, but out of it after decrementing any positive coordinate."""
+    return _is_minimal(sys, _check_vector(sys, x))
+
+
+def in_hull_plus_orthant(M: Sequence[Monomial], x: Sequence[int]) -> bool:
+    """Whether x dominates a convex combination of the members of M."""
+    ms = monomial_set(M)
+    if not ms:
+        return False
+    if len(x) != ms[0].n:
+        raise MonoidealError("vector length does not match the alphabet")
+    return _hull_test([m.exponents for m in ms])(x)

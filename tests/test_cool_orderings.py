@@ -17,7 +17,6 @@ from monoideal import sorted_ideal
 from monoideal.cool_orderings import (
     CoolSearchResult,
     all_orderings_cool,
-    closed_subset_check,
     find_cool_ordering,
     helps,
     is_cool,
@@ -44,6 +43,7 @@ from monoideal.word_oracle import finiteness_probe
 
 from conftest import (
     M,
+    closed_subset_check,
     outcome,
     _cover_masks,
     frozenset_cover_supports,

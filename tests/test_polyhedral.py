@@ -13,7 +13,6 @@ from monoideal.core import (
     MonoidealError,
     Ordering,
     divides,
-    is_antichain,
 )
 from monoideal.crosscheck import antichains
 from monoideal.polyhedral import (
@@ -26,8 +25,6 @@ from monoideal.polyhedral import (
     convexity_check,
     enumerate_minimal_generators,
     from_generators,
-    in_hull_plus_orthant,
-    is_minimal_generator,
     membership,
     reduction_is_negative,
     sat_reduction,
@@ -35,7 +32,13 @@ from monoideal.polyhedral import (
     verify_certificate,
 )
 
-from conftest import M, outcome
+from conftest import (
+    M,
+    in_hull_plus_orthant,
+    is_antichain,
+    is_minimal_generator,
+    outcome,
+)
 
 HALF_PLANE5 = IneqSystem.make([[1, 1]], [[5]])
 

@@ -26,7 +26,7 @@ from monoideal.preimage import (
     preimage_fg_pairs,
     square_letters,
 )
-from monoideal.word_oracle import preimage_report
+from monoideal.word_oracle import _pair_walk, preimage_report
 
 from conftest import M, outcome
 
@@ -166,4 +166,18 @@ def test_verdict_matches_bounded_word_enumeration_n3():
         verdict = preimage_fg(members).verdict
         assert finite == verdict, members
         seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_verdict_matches_pair_walk():
+    # the pair walk with every letter of one rank walks the preimage ideal
+    # to the period of its levels: exact, with no cap, on every set the
+    # bounded enumerations above skip too
+    seen = set()
+    for n, degree in ((2, 3), (3, 3), (4, 2)):
+        for members in representative_antichains(n, degree):
+            rows = tuple(m.exponents for m in members)
+            verdict = preimage_fg(members).verdict
+            assert _pair_walk(rows, (0,) * n, 10**7) == verdict, members
+            seen.add(verdict)
     assert seen == {True, False}

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from monoideal.core import (
     UnitMonomialError,
     Word,
     all_orderings,
+    antichain_reduce,
     divides,
     pi,
     sigma,
@@ -167,6 +169,29 @@ def test_finiteness_probe_singletons():
     # a singleton with an internal letter pumps forever: infinite
     assert finiteness_probe(M((2, 3, 1)), IDENT3) is False
     assert finiteness_probe(M((2, 0, 3)), IDENT3) is False
+    # over five letters the completeness bound, which holds on finite
+    # instances only, can fall below a member's degree: it is 0 for {a e^2},
+    # yet a b^i c^j d^k e^2 are minimal generators for all i, j, k
+    assert finiteness_probe(M((1, 0, 0, 0, 2)), Ordering.identity(5)) is False
+    assert finiteness_probe(M((6, 4, 3, 0, 0)), Ordering.from_sequence((2, 1, 3, 4, 0))) is False
+
+
+def test_finiteness_probe_matches_criterion_on_five_letters():
+    rng = random.Random(2)
+    verdicts = set()
+    for _ in range(200):
+        members = []
+        for _ in range(rng.randint(1, 3)):
+            exponents = [0] * 5
+            for x in rng.sample(range(5), rng.randint(1, 3)):
+                exponents[x] = rng.randint(1, 3)
+            members.append(Monomial(tuple(exponents)))
+        members = antichain_reduce(members)
+        ord = Ordering.from_sequence(rng.sample(range(5), 5))
+        verdict = is_fg_sorted(members, ord).verdict
+        assert finiteness_probe(members, ord) == verdict, (members, ord)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _word_probe(members, ord):
@@ -207,9 +232,9 @@ def test_pair_walk_budget_names_the_length():
     # non-member letters' nine extensions then pass a budget of 5
     rows = tuple(m.exponents for m in AB2C_A3B)
     with pytest.raises(BudgetExceededError) as info:
-        _pair_walk(rows, IDENT3.rank, 6, 5)
+        _pair_walk(rows, IDENT3.rank, 5)
     assert str(info.value) == "membership budget of 5 tests exceeded at length 2"
-    assert _pair_walk(rows, BAC.rank, complete_enumeration_bound(AB2C_A3B, BAC), 10**6)
+    assert _pair_walk(rows, BAC.rank, 10**6)
 
 
 def _predicate_report(target, M, ord, cap, budget):
