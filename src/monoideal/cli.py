@@ -3,6 +3,10 @@
 Exit codes: 0 computed, 1 negative decision, 2 input error, 3 enumeration
 budget exceeded.  All machine output is a single JSON object on stdout;
 ``--pretty`` switches to indented rendering.
+
+Only ``core`` and ``sorted_ideal`` load with this module; every other
+module loads on first use, inside the function that calls it, so a process
+pays only for the modules its command runs.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import crosscheck
 from .core import (
     Alphabet,
     BudgetExceededError,
@@ -34,20 +37,6 @@ from .core import (
     monomial_set,
     sorted_monomials,
 )
-from .cool_orderings import all_orderings_cool, find_cool_ordering, is_cool
-from .polyhedral import (
-    DEFAULT_LATTICE_BUDGET,
-    Certificate,
-    IneqSystem,
-    SatInstance,
-    convexity_check,
-    enumerate_minimal_generators as poly_minimal_generators,
-    membership as poly_membership,
-    sat_reduction,
-    union as poly_union,
-    verify_certificate,
-)
-from .preimage import preimage_degree_bounds, preimage_fg
 from .sorted_ideal import (
     DEFAULT_LETTER_BUDGET,
     fg_generating_set,
@@ -55,21 +44,10 @@ from .sorted_ideal import (
     is_fg_sorted,
     minimal_word_generators,
 )
-from .torientation import (
-    NaeInstance,
-    TGraph,
-    format_tgraph,
-    gadget3,
-    nae3sat_reduce,
-    parse_tgraph,
-    t_orientation_search,
-    top_hat,
-)
-from .word_oracle import (
-    DEFAULT_MEMBERSHIP_BUDGET,
-    preimage_report,
-    sorted_ideal_report,
-)
+
+if TYPE_CHECKING:
+    from .polyhedral import IneqSystem, SatInstance
+    from .torientation import NaeInstance, TGraph
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
@@ -210,6 +188,8 @@ def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str)
 
 def parse_nae_file(text: str) -> NaeInstance:
     """Clause lines of three signed integers; optional `p nae <v> <k>` header."""
+    from .torientation import NaeInstance
+
     return _parse_clause_file(
         text, "nae", NaeInstance, lambda c: len(c) == 3,
         "clauses must have exactly three literals",
@@ -218,6 +198,8 @@ def parse_nae_file(text: str) -> NaeInstance:
 
 def parse_cnf_file(text: str) -> SatInstance:
     """DIMACS-style CNF: `p cnf <vars> <clauses>` then 0-terminated clauses."""
+    from .polyhedral import SatInstance
+
     return _parse_clause_file(text, "cnf", SatInstance, bool, "empty clause")
 
 
@@ -267,6 +249,8 @@ def _witness_payload(witness, alphabet) -> dict:
 
 
 def _graph_payload(g: TGraph) -> dict:
+    from .torientation import format_tgraph
+
     return {
         "vertex_count": g.vertex_count,
         "edges": [[u + 1, v + 1] for u, v in g.edges],
@@ -316,12 +300,16 @@ def _cmd_gb_lift(args):
 
 
 def _cmd_is_cool(args):
+    from .cool_orderings import is_cool
+
     alphabet, monomials, ordering = _load_monomials(args)
     verdict = is_cool(monomials, _require_order(ordering))
     return (0 if verdict else 1), {"cool": verdict}
 
 
 def _cmd_find_cool(args):
+    from .cool_orderings import find_cool_ordering
+
     alphabet, monomials, _ = _load_monomials(args)
     result = find_cool_ordering(monomials, alphabet.size)
     payload = {"found": result.found, "nodes_explored": result.nodes_explored}
@@ -331,12 +319,16 @@ def _cmd_find_cool(args):
 
 
 def _cmd_all_cool(args):
+    from .cool_orderings import all_orderings_cool
+
     _, monomials, _ = _load_monomials(args)
     verdict = all_orderings_cool(monomials)
     return (0 if verdict else 1), {"all_cool": verdict}
 
 
 def _cmd_preimage_fg(args):
+    from .preimage import preimage_degree_bounds, preimage_fg
+
     alphabet, monomials, _ = _load_monomials(args)
     witness = preimage_fg(monomials)
     payload = _witness_payload(witness, alphabet)
@@ -345,6 +337,8 @@ def _cmd_preimage_fg(args):
 
 
 def _cmd_oracle(args):
+    from .word_oracle import DEFAULT_MEMBERSHIP_BUDGET, preimage_report, sorted_ideal_report
+
     alphabet, monomials, ordering = _load_monomials(args)
     budget = _budget(DEFAULT_MEMBERSHIP_BUDGET)
     if args.target == "sorted":
@@ -363,6 +357,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_torient(args):
+    from .torientation import parse_tgraph, t_orientation_search
+
     g = parse_tgraph(_read(args.file))
     orientation = t_orientation_search(g)
     if orientation is None:
@@ -374,19 +370,27 @@ def _cmd_torient(args):
 
 
 def _cmd_gen_tophat(args):
+    from .torientation import top_hat
+
     return 0, _graph_payload(top_hat())
 
 
 def _cmd_gen_gadget(args):
+    from .torientation import gadget3
+
     return 0, _graph_payload(gadget3())
 
 
 def _cmd_reduce_nae(args):
+    from .torientation import nae3sat_reduce
+
     inst = parse_nae_file(_read(args.file))
     return 0, _graph_payload(nae3sat_reduce(inst))
 
 
 def _load_system(path: str) -> IneqSystem:
+    from .polyhedral import IneqSystem
+
     try:
         data = json.loads(_read(path))
     except json.JSONDecodeError as exc:
@@ -411,23 +415,31 @@ def _parse_vector(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_poly_member(args):
+    from .polyhedral import membership
+
     sys_ = _load_system(args.file)
-    verdict = poly_membership(sys_, _parse_vector(args.vector))
+    verdict = membership(sys_, _parse_vector(args.vector))
     return (0 if verdict else 1), {"member": verdict}
 
 
 def _cmd_poly_mingens(args):
+    from .polyhedral import DEFAULT_LATTICE_BUDGET, enumerate_minimal_generators
+
     sys_ = _load_system(args.file)
-    gens = poly_minimal_generators(sys_, _budget(DEFAULT_LATTICE_BUDGET))
+    gens = enumerate_minimal_generators(sys_, _budget(DEFAULT_LATTICE_BUDGET))
     return 0, {"minimal_generators": [list(g) for g in gens]}
 
 
 def _cmd_poly_union(args):
+    from .polyhedral import union
+
     systems = [_load_system(p) for p in args.files]
-    return 0, poly_union(systems).to_json_dict()
+    return 0, union(systems).to_json_dict()
 
 
 def _cmd_verify_cert(args):
+    from .polyhedral import Certificate, verify_certificate
+
     sys_ = _load_system(args.file)
     try:
         cert = Certificate.from_json_dict(json.loads(_read(args.certificate)))
@@ -438,24 +450,30 @@ def _cmd_verify_cert(args):
 
 
 def _cmd_reduce_sat(args):
+    from .polyhedral import sat_reduction
+
     inst = parse_cnf_file(_read(args.file))
     return 0, sat_reduction(inst, args.target).to_json_dict()
 
 
 def _cmd_convexity(args):
+    from .polyhedral import DEFAULT_LATTICE_BUDGET, convexity_check
+
     _, monomials, _ = _load_monomials(args)
     verdict = convexity_check(monomials, _budget(DEFAULT_LATTICE_BUDGET))
     return (0 if verdict else 1), {"convex": verdict}
 
 
 def _cmd_crosscheck(args):
+    from .crosscheck import run_all
+
     sizes = {name: getattr(args, name) for name in (
         "letters", "max_degree", "quadratic_letters", "nae_variables", "nae_clauses",
         "sat_variables", "sat_clauses")}
     for name, value in sizes.items():
         if value < 0:
             raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
-    results = crosscheck.run_all(**sizes)
+    results = run_all(**sizes)
     ok = all(v == 0 for v in results.values())
     return (0 if ok else 1), {"disagreements": results, "ok": ok}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -100,17 +99,47 @@ def check_announced(announced: int | None, found: int, noun: str) -> None:
         raise ParseError(f"header announces {announced} {noun}, found {found}")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Frozen:
+    """Fields are set once, in ``__init__``; ``repr`` and pickling read the
+    fields named in ``__match_args__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Alphabet(_Frozen):
     """A finite set of letters with display names; index order is fixed."""
 
+    __slots__ = ("names",)
+    __match_args__ = ("names",)
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.names) == 0:
+    def __init__(self, names: tuple[str, ...]):
+        if len(names) == 0:
             raise MonoidealError("alphabet must contain at least one letter")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise MonoidealError("alphabet names must be pairwise distinct")
+        object.__setattr__(self, "names", names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
 
     @property
     def size(self) -> int:
@@ -123,15 +152,16 @@ class Alphabet:
             raise MonoidealError(f"unknown letter {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Frozen):
     """An element of the free commutative monoid: an exponent vector."""
 
+    __slots__ = ("exponents",)
+    __match_args__ = ("exponents",)
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, exponents: tuple[int, ...]):
         total = 0
-        for e in self.exponents:
+        for e in exponents:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise MonoidealError(f"exponent {e!r} is not an integer")
             if e < 0:
@@ -141,6 +171,15 @@ class Monomial:
             raise ExponentOverflowError(
                 f"total degree {total} exceeds the 64-bit limit"
             )
+        object.__setattr__(self, "exponents", exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
 
     @property
     def n(self) -> int:
@@ -155,46 +194,64 @@ class Monomial:
         return all(e == 0 for e in self.exponents)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """An element of the free monoid: a finite sequence of letter indices."""
 
+    __slots__ = ("letters",)
+    __match_args__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[int, ...]):
         # plain ints with a nonnegative minimum pass in C; the loop names the
         # first bad letter, and accepts int subclasses other than bool
-        letters = self.letters
-        if set(map(type, letters)) <= {int} and min(letters, default=0) >= 0:
-            return
-        for x in letters:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise MonoidealError(f"invalid letter index {x!r}")
+        if not (set(map(type, letters)) <= {int} and min(letters, default=0) >= 0):
+            for x in letters:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                    raise MonoidealError(f"invalid letter index {x!r}")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(_Frozen):
     """A total order on the letters, as a permutation.
 
     ``rank[x]`` is the position of letter ``x``: ``x`` precedes ``y``
     exactly when ``rank[x] < rank[y]``.
     """
 
+    __slots__ = ("rank", "_sequence")
+    __match_args__ = ("rank",)
     rank: tuple[int, ...]
 
-    def __post_init__(self):
-        seq = [-1] * len(self.rank)
-        for letter, pos in enumerate(self.rank):
+    def __init__(self, rank: tuple[int, ...]):
+        seq = [-1] * len(rank)
+        for letter, pos in enumerate(rank):
             if not isinstance(pos, int) or isinstance(pos, bool):
                 raise MonoidealError(f"ordering rank entry {pos!r} is not an integer")
             if not 0 <= pos < len(seq) or seq[pos] != -1:
                 raise MonoidealError("ordering rank must be a permutation of 0..n-1")
             seq[pos] = letter
-        # not a field, so repr, == and hash still read the rank alone
+        object.__setattr__(self, "rank", rank)
+        # not a field, so repr, == and hash read the rank alone
         object.__setattr__(self, "_sequence", tuple(seq))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank,))
 
     @property
     def n(self) -> int:

@@ -17,10 +17,9 @@ test and search orderings.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from operator import is_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     NotFinitelyGeneratedError,
     Ordering,
     Word,
+    _Frozen,
     _extremal_scan,
     _letter_strings,
     _some_row_divides,
@@ -43,12 +43,25 @@ from .core import (
 DEFAULT_LETTER_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class FgWitness:
+class FgWitness(_Frozen):
     """Decision plus, on a negative answer, the first failing pair."""
 
+    __slots__ = ("verdict", "violator")
+    __match_args__ = ("verdict", "violator")
     verdict: bool
-    violator: tuple[Monomial, int] | None = None
+    violator: tuple[Monomial, int] | None
+
+    def __init__(self, verdict: bool, violator: tuple[Monomial, int] | None = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "violator", violator)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.verdict == other.verdict and self.violator == other.violator
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.verdict, self.violator))
 
 
 def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
@@ -185,10 +198,26 @@ class _StepTable:
         return verdict
 
 
-@functools.lru_cache(maxsize=1)
+# The set last asked about: its members as given, their exponent rows, the
+# letter count and the set's table.
+_last: tuple = ((), (), -1, None)
+
+
 def _step_table(M: tuple[Monomial, ...], n: int) -> _StepTable:
-    """The step table of the set last asked about; a failed check is not kept."""
-    return _StepTable(M, n)
+    """The step table of the set last asked about; a failed check is not kept.
+
+    The members are compared with the last set's by identity first, in one
+    pass in C, and then by their exponent rows, so no member hash runs.
+    """
+    global _last
+    given, rows, size, table = _last
+    if size == n and len(M) == len(given) and all(map(is_, M, given)):
+        return table
+    key = tuple(m.exponents for m in M)
+    if size != n or key != rows:
+        table = _StepTable(M, n)
+    _last = M, key, n, table
+    return table
 
 
 def fg_generating_set(

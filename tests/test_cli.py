@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -936,6 +937,26 @@ def test_no_argument_spec_has_a_mutable_default():
         for flags, kwargs in arguments:
             assert kwargs.get("action") not in ("append", "append_const", "extend"), (name, flags)
             assert not isinstance(kwargs.get("default"), (list, dict, set)), (name, flags)
+
+
+def test_check_fg_process_loads_only_the_modules_it_runs(tmp_path):
+    # a fresh process decides check-fg with the package, cli, core and
+    # sorted_ideal; dataclasses, and the inspect it imports, stay unloaded
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from monoideal.cli import main; "
+        "code = main(sys.argv[2:]); print(*sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('monoideal', 'dataclasses', 'inspect'))); sys.exit(code)"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script, src, "check-fg", str(f)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == "", done
+    verdict, loaded = done.stdout.splitlines()
+    assert json.loads(verdict) == {"verdict": True}
+    assert loaded.split() == [
+        "monoideal", "monoideal.cli", "monoideal.core", "monoideal.sorted_ideal"]
 
 
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):

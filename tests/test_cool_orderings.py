@@ -152,7 +152,30 @@ def test_step_table_refuses_an_invalid_set_on_every_call():
         assert is_cool(*valid) is False
 
 
-def test_one_table_slot_serves_calls_on_two_sets_one_by_one():
+def test_step_table_asked_again_hashes_no_member(monkeypatch):
+    # the last set is found again by its member objects, or else by their
+    # exponent rows, so no call hashes a member (a hash is a Python call each)
+    hashed = [0]
+    member_hash = Monomial.__hash__
+
+    def counted(self):
+        hashed[0] += 1
+        return member_hash(self)
+
+    members = AB2C_A3B
+    copies = tuple(Monomial(m.exponents) for m in members)
+    other = M((2, 0, 0), (0, 1, 1))
+    monkeypatch.setattr(Monomial, "__hash__", counted)
+    table = sorted_ideal._step_table(members, 3)
+    for asked in (members, copies, members):
+        assert sorted_ideal._step_table(asked, 3) is table
+    assert sorted_ideal._step_table(other, 3) is not table
+    assert sorted_ideal._step_table(members, 3) is not table
+    assert is_cool(members, Ordering.from_sequence((1, 0, 2)))
+    assert hashed[0] == 0
+
+
+def test_one_table_slot_serves_calls_on_two_sets_one_by_one(monkeypatch):
     # is_fg_sorted, is_cool and find_cool_ordering share one cached table:
     # calls alternating between two sets must each find their own set's
     # covers, holders and steps, and an invalid set between them must raise
@@ -164,7 +187,7 @@ def test_one_table_slot_serves_calls_on_two_sets_one_by_one():
     sets += [m for m in antichains(4, 2) if any(e.degree != 2 for e in m)][:40]
     searches = {}
     for members in sets:
-        sorted_ideal._step_table.cache_clear()
+        monkeypatch.setattr(sorted_ideal, "_last", ((), (), -1, None))
         searches[members] = find_cool_ordering(members)
     seen = set()
     for a, b in zip(sets[::2], sets[1::2]):

@@ -1,8 +1,11 @@
 import ast
+import copy
 import enum
+import importlib
 import inspect
 import itertools
 import pathlib
+import pickle
 import random
 import re
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monoideal
 from monoideal import cool_orderings, core, preimage, sorted_ideal, word_oracle
 from monoideal.core import (
     Alphabet,
@@ -41,7 +45,12 @@ from monoideal.core import (
 from monoideal.cool_orderings import all_orderings_cool, find_cool_ordering
 from monoideal.polyhedral import SatInstance, brute_force_sat
 from monoideal.preimage import preimage_fg, preimage_fg_pairs
-from monoideal.sorted_ideal import eps_minimal_generators, fg_generating_set, is_fg_sorted
+from monoideal.sorted_ideal import (
+    FgWitness,
+    eps_minimal_generators,
+    fg_generating_set,
+    is_fg_sorted,
+)
 from monoideal.torientation import NaeInstance, nae3sat_brute
 from monoideal.word_oracle import (
     preimage_report,
@@ -162,14 +171,14 @@ def test_row_kernels_build_no_monomial(monkeypatch):
     from monoideal.crosscheck import representative_antichains
 
     built = [0]
-    check = Monomial.__post_init__
+    build = Monomial.__init__
 
-    def counted(self):
+    def counted(self, exponents):
         built[0] += 1
-        check(self)
+        build(self, exponents)
 
     sets = list(representative_antichains(3, 3)) + list(representative_antichains(4, 2))
-    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    monkeypatch.setattr(Monomial, "__init__", counted)
     for ms in sets:
         for decide in (preimage_fg, preimage_fg_pairs, antichain_reduce):
             decide(ms)
@@ -706,6 +715,7 @@ def test_no_dead_private_names():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    used.update(monoideal.__all__)  # the package's export table names each
     bench = pathlib.Path(__file__).parents[1] / "perfbench"
     named = {w for path in bench.glob("*.py") for w in re.findall(r"\w+", path.read_text())}
     dead = {
@@ -714,3 +724,90 @@ def test_no_dead_private_names():
         if name not in used and (name.startswith("_") or name not in named)
     }
     assert dead == set()
+
+
+# The names the package exports, under their defining module.
+EXPORTED = {
+    "core": [
+        "Alphabet", "AlphabetMismatchError", "BudgetExceededError", "ExponentOverflowError",
+        "Monomial", "MonoidealError", "NotAntichainError", "NotFinitelyGeneratedError",
+        "Ordering", "ParseError", "UnitMonomialError", "Word", "antichain_reduce", "divides",
+        "erase", "extremal_degree_max", "extremal_internal", "pi", "sigma", "sort_word",
+        "support", "word_is_factor",
+    ],
+    "cool_orderings": [
+        "CoolSearchResult", "all_orderings_cool", "find_cool_ordering", "helps", "is_cool",
+        "quadratic_graph", "quadratic_to_support2", "square_free_total_degree_guard",
+        "support_filter",
+    ],
+    "polyhedral": [
+        "Certificate", "IneqSystem", "SatInstance", "convexity_check", "from_generators",
+        "sat_reduction", "union", "verify_certificate",
+    ],
+    "preimage": [
+        "PreimageWitness", "preimage_degree_bounds", "preimage_fg", "preimage_fg_pairs",
+        "square_letters",
+    ],
+    "sorted_ideal": [
+        "FgWitness", "eps_minimal_generators", "fg_generating_set", "generator_count_bound",
+        "groebner_lift", "is_fg_sorted", "minimal_word_generators", "tight_family",
+    ],
+    "torientation": [
+        "NaeInstance", "Orientation", "TGraph", "gadget3", "is_valid_t_orientation",
+        "nae3sat_brute", "nae3sat_reduce", "ordering_to_orientation",
+        "orientation_to_ordering", "t_orientation_search", "top_hat",
+    ],
+    "word_oracle": [
+        "EnumerationReport", "enumerate_minimal_generators", "finiteness_probe",
+        "word_in_preimage", "word_in_sorted_ideal",
+    ],
+}
+
+
+def test_package_namespace_names_each_module_object():
+    assert monoideal.__all__ == [name for names in EXPORTED.values() for name in names]
+    for module, names in EXPORTED.items():
+        home = importlib.import_module(f"monoideal.{module}")
+        for name in names:
+            assert getattr(monoideal, name) is getattr(home, name), name
+    assert set(monoideal.__all__) <= set(dir(monoideal))
+    assert "__version__" in dir(monoideal)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        monoideal.no_such_name
+    assert not hasattr(monoideal, "_Frozen")
+
+
+# make a value twice, its repr, and one of its fields
+VALUES = {
+    "Alphabet": (lambda: Alphabet(("a", "b")), "Alphabet(names=('a', 'b'))", "names"),
+    "Monomial": (lambda: Monomial((1, 0, 2)), "Monomial(exponents=(1, 0, 2))", "exponents"),
+    "Word": (lambda: Word((2, 0, 0)), "Word(letters=(2, 0, 0))", "letters"),
+    "Ordering": (lambda: Ordering((2, 0, 1)), "Ordering(rank=(2, 0, 1))", "rank"),
+    "FgWitness": (
+        lambda: FgWitness(False, (Monomial((1, 2, 1)), 1)),
+        "FgWitness(verdict=False, violator=(Monomial(exponents=(1, 2, 1)), 1))",
+        "violator",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_compare_hash_and_freeze_their_fields(name):
+    make, text, field = VALUES[name]
+    value, twin = make(), make()
+    assert repr(value) == text
+    assert value == twin and not value != twin and hash(value) == hash(twin)
+    assert value != object() and value != getattr(value, field)
+    for assign in (lambda: setattr(value, field, None), lambda: delattr(value, field),
+                   lambda: setattr(value, "other", None)):
+        with pytest.raises(AttributeError):
+            assign()
+    assert repr(value) == text and not hasattr(value, "__dict__")
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert clone(value) == value and repr(clone(value)) == text
+
+
+def test_value_classes_differ_across_classes():
+    assert Monomial((1,)) != Word((1,)) and Word((1,)) != Monomial((1,))
+    assert FgWitness(True) == FgWitness(True, None) != FgWitness(False)
+    assert pickle.loads(pickle.dumps(Ordering((2, 0, 1)))).sequence() == (1, 2, 0)
