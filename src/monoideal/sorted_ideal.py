@@ -383,8 +383,11 @@ def groebner_lift(
     """Leading-word set of a finite Groebner basis of the lifted ideal.
 
     The commutator leading words together with the minimal generators of
-    the sorted-word ideal.  Defined exactly when the sorted-word ideal is
-    finitely generated; errors and ``budget`` as in :func:`fg_generating_set`.
+    the sorted-word ideal.  The basis is not interreduced: a commutator
+    word stays when a generator is a factor of it, so M = {b} under
+    a < b gives ``b`` and ``b a``.  Defined exactly when the sorted-word
+    ideal is finitely generated; errors and ``budget`` as in
+    :func:`fg_generating_set`.
     """
     gens = minimal_word_generators(fg_generating_set(M, ord, budget))
     return sorted_words(commutator_leading_words(ord) + gens)

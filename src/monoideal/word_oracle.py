@@ -5,10 +5,11 @@ bounded enumeration of minimal word generators driven by any factor-closed
 membership predicate, and an exact finiteness probe that cross-checks the
 fast finite-generation criterion.  The enumerations of the two word ideals
 carry letter counts with each stem instead of calling the membership
-tests, which stay their referee in the tests; they walk words, as they
-return words, while the probe walks levels of pairs of states and stops
-at the period of those levels, with no length cap.  Everything here is
-independent of the fast decision procedures so it can referee them: the
+tests, which stay their referee in the tests.  They walk words depth first,
+as they return words, while the probe walks levels of pairs of states and
+stops at the period of those levels, with no length cap; both read
+minimality off the pair of a stem's state and its tail's.  Everything here
+is independent of the fast decision procedures so it can referee them: the
 walks share only core's dominance test with the code they referee, and
 ``divides`` with the ``word_in_*`` tests referee that test.
 """
@@ -96,24 +97,31 @@ def _check_walk(cap: int, alphabet_size: int) -> None:
         raise ValueError("cap must be nonnegative and the alphabet nonempty")
 
 
+def _pairs(successors, root, state, tail):
+    """Letter by letter, the successors of a stem's state and of its tail's
+    (the stem less its first letter; None for the empty stem, and the root
+    for a one-letter stem).  ``stem + z`` is a minimal generator exactly
+    when the stem's successor on ``z`` is a member (None) and the tail's is
+    not."""
+    return zip(successors(state), successors(tail) if tail is not None else repeat(root))
+
+
 def _walk(
-    root: Callable[[], object],
-    successors: Callable[[tuple[int, ...], object], Sequence[object]],
+    root: object,
+    successors: Callable[[object], Sequence[object]],
     alphabet_size: int,
     cap: int,
     budget: int,
 ) -> EnumerationReport:
-    """Breadth-first walk over the non-members of a factor-closed word ideal.
+    """Depth-first walk over the non-members of a factor-closed word ideal.
 
-    Non-members are closed under factors, so every non-member extends a
-    shorter one and only non-members are extended.  Each stored stem
-    carries a state: ``root()`` gives the state of the empty word, and
-    ``successors(stem, state)`` the state of ``stem + z`` for each letter
-    ``z``; None marks a member.  A member is a minimal generator when
-    dropping its first letter leaves a non-member (dropping its last
-    letter gives its stem).  Each word examined counts as one membership
-    test against ``budget``; a level that would pass the budget raises
-    before it is examined.
+    Non-members are closed under factors, so only non-members are
+    extended.  ``root`` is the state of the empty word, and
+    ``successors(state)`` the state of each one-letter extension, None for
+    a member.  Each stem on the stack carries its state and its tail's, and
+    the stack holds only the stems beside the current path.  Each word
+    examined counts as one membership test against ``budget``; the walk
+    raises once the count passes it, naming the length then under test.
     """
     _check_walk(cap, alphabet_size)
     tests = 1
@@ -121,30 +129,25 @@ def _walk(
         raise BudgetExceededError(
             f"membership budget of {budget} tests exceeded at length 0"
         )
-    state = root()
-    if state is None:
+    if root is None:
         return EnumerationReport(cap, (Word(()),), True)
 
-    letters = [(z,) for z in range(alphabet_size)]
     found: list[Word] = []
-    level: dict[tuple[int, ...], object] = {(): state}
-    for length in range(1, cap + 1):
-        tests += len(level) * alphabet_size
+    stack = [((), root, None)] if cap else []
+    while stack:
+        stem, state, tail = stack.pop()
+        tests += alphabet_size
         if tests > budget:
             raise BudgetExceededError(
-                f"membership budget of {budget} tests exceeded at length {length}"
+                f"membership budget of {budget} tests exceeded at length {len(stem) + 1}"
             )
-        following: dict[tuple[int, ...], object] = {}
-        for stem, state in level.items():
-            for z, after in zip(letters, successors(stem, state)):
-                w = stem + z
-                if after is not None:
-                    following[w] = after
-                elif w[1:] in level:
+        for z, (s, t) in enumerate(_pairs(successors, root, state, tail)):
+            w = stem + (z,)
+            if s is None:
+                if t is not None:
                     found.append(Word(w))
-        level = following
-        if not level:
-            break
+            elif len(w) < cap:
+                stack.append((w, s, t))
     threshold = cap // 2 + 1
     saturated = all(len(w) <= threshold for w in found)
     return EnumerationReport(cap, sorted_words(found), saturated)
@@ -161,24 +164,25 @@ def enumerate_minimal_generators(
     ``membership`` must be factor-monotone: a word is in the ideal whenever
     one of its factors is.  A word is a minimal generator when it is in the
     ideal but dropping its first or its last letter leaves the ideal.  The
-    enumeration walks the tree of non-members breadth-first by length and
-    asks ``membership`` about each one-letter extension once.
+    enumeration walks the tree of non-members depth first, with the stem
+    itself as its state.  A stem is asked about again as the tail of a
+    longer one, so each stem's row is kept, and ``membership`` is still
+    asked about each one-letter extension once.
     """
+    _check_walk(cap, alphabet_size)
+    rows: dict[tuple[int, ...], list[object]] = {}
 
-    # the stem is all the state a predicate needs
-    def successors(stem, state):
-        return [
-            None if membership(Word(stem + (z,))) else True
-            for z in range(alphabet_size)
-        ]
+    def successors(stem):
+        row = rows.get(stem)
+        if row is None:
+            row = rows[stem] = [
+                None if membership(Word(stem + (z,))) else stem + (z,)
+                for z in range(alphabet_size)
+            ]
+        return row
 
-    return _walk(
-        lambda: None if membership(Word(())) else True,
-        successors,
-        alphabet_size,
-        cap,
-        budget,
-    )
+    root = None if membership(Word(())) else ()
+    return _walk(root, successors, alphabet_size, cap, budget)
 
 
 def _count_states(rows: tuple[tuple[int, ...], ...], rank: Sequence[int]):
@@ -214,22 +218,16 @@ def _count_states(rows: tuple[tuple[int, ...], ...], rank: Sequence[int]):
     return (min(range(n), key=rank.__getitem__), zero), successors
 
 
-def _count_walk(rows, rank: Sequence[int], cap: int, budget: int) -> EnumerationReport:
-    root, successors = _count_states(rows, rank)
-    return _walk(lambda: root, lambda stem, state: successors(state), len(rank), cap, budget)
-
-
 def _pair_walk(rows, rank: Sequence[int], budget: int) -> bool:
     """Whether the sorted-word ideal of ``rows`` under ``rank`` (the
     preimage ideal when every rank is equal) has finitely many minimal
     generators: a walk over levels of pairs of count states, of a
-    non-member stem and of the stem less its first letter.  ``stem + z``
-    is a minimal generator exactly when the stem's successor on ``z`` is a
-    member and the tail's is not.  Each level is a function of the one
-    before it and decides which lengths emit, so the levels are eventually
-    periodic; the walk stops at the first level seen twice, and the
-    generators are finite exactly when the period emits none.  Tests count
-    against ``budget`` as in ``_walk``, one per (pair, letter).
+    non-member stem and of its tail, read by ``_pairs``.  Each level is a
+    function of the one before it and decides which lengths emit, so the
+    levels are eventually periodic; the walk stops at the first level seen
+    twice, and the generators are finite exactly when the period emits
+    none.  Tests count against ``budget`` as in ``_walk``, one per (pair,
+    letter).
     """
     root, successors = _count_states(rows, rank)
     # the empty word counts as one test, and is each one-letter word's tail
@@ -246,8 +244,7 @@ def _pair_walk(rows, rank: Sequence[int], budget: int) -> bool:
             )
         following = set()
         for stem, tail in level:
-            tails = successors(tail) if tail else repeat(root)
-            for s, t in zip(successors(stem), tails):
+            for s, t in _pairs(successors, root, stem, tail):
                 if s is not None:
                     following.add((s, t))
                 elif t is not None:
@@ -270,7 +267,7 @@ def sorted_ideal_report(
         # the empty set generates the empty ideal: no word is a member
         _check_walk(cap, ord.n)
         return EnumerationReport(cap, (), True)
-    return _count_walk(rows, ord.rank, cap, budget)
+    return _walk(*_count_states(rows, ord.rank), ord.n, cap, budget)
 
 
 def preimage_report(
@@ -287,7 +284,7 @@ def preimage_report(
     if not ms:
         raise ValueError("preimage enumeration needs a nonempty monomial set")
     n = ms[0].n
-    return _count_walk(tuple(m.exponents for m in ms), (0,) * n, cap, budget)
+    return _walk(*_count_states(tuple(m.exponents for m in ms), (0,) * n), n, cap, budget)
 
 
 def finiteness_probe(M: Sequence[Monomial], ord: Ordering) -> bool:

@@ -401,6 +401,11 @@ def test_groebner_lift():
         groebner_lift(AB2C_A3B, ABC)
 
 
+def test_groebner_lift_is_not_interreduced():
+    # the commutator word b a stays although its factor b is a generator
+    assert groebner_lift(M((0, 1)), Ordering.identity(2)) == W((1,), (1, 0))
+
+
 def test_commutator_count():
     assert len(commutator_leading_words(Ordering.identity(4))) == 6
 

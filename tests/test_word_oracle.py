@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,61 @@ def test_count_walks_spend_the_predicate_budget(target):
     for budget in range(1, 130):
         args = (target, AB2C_A3B, BAC, 4, budget)
         assert _outcome(_count_report, *args) == _outcome(_predicate_report, *args), budget
+
+
+@pytest.mark.parametrize(
+    "target, members, ord, cap",
+    [("sorted", AB2C_A3B, BAC, 4), ("preimage", M((2, 0)), Ordering.identity(2), 6)],
+    ids=["sorted", "preimage"],
+)
+def test_budget_outcome_matches_an_independent_count(target, members, ord, cap):
+    # a full walk tests the empty word, then each letter after every
+    # non-member shorter than the cap; counted here from the word list
+    if target == "sorted":
+        member = lambda u: word_in_sorted_ideal(u, members, ord)
+    else:
+        member = lambda u: word_in_preimage(u, members)
+    n = ord.n
+    total = 1 + n * sum(not member(u) for u in all_words_up_to(n, cap - 1))
+    full = _count_report(target, members, ord, cap, 10**6)
+    for budget in range(1, total + 3):
+        outcome = _outcome(_count_report, target, members, ord, cap, budget)
+        if budget < total:
+            assert isinstance(outcome, str), budget
+            assert outcome.startswith(f"membership budget of {budget} tests exceeded at length ")
+        else:
+            assert outcome == full, budget
+
+
+def test_walk_input_edges():
+    empty = Ordering(())
+    with pytest.raises(ValueError):
+        sorted_ideal_report((), empty, 3)
+    with pytest.raises(ValueError):
+        enumerate_minimal_generators(lambda u: False, 0, 3)
+    with pytest.raises(ValueError):
+        sorted_ideal_report(AB2C_A3B, BAC, -1)
+    with pytest.raises(ValueError):
+        preimage_report(AB2C_A3B, -1)
+    # a bad cap raises before the predicate is asked anything
+    asked = []
+    with pytest.raises(ValueError):
+        enumerate_minimal_generators(asked.append, 2, -1)
+    assert asked == []
+
+
+def test_word_walk_memory_stays_beside_the_path():
+    # a length-by-length walk held the words of a whole length here
+    # (about 19 MB traced); the depth-first walk holds one path's neighbours
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            preimage_report(M((40, 40)), 60, budget=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(info.value) == "membership budget of 200000 tests exceeded at length 60"
 
 
 def test_empty_set_has_no_generators():
