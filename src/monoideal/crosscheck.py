@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .core import Monomial, _some_row_divides, all_orderings, support
+from .core import AlphabetMismatchError, Monomial, _some_row_divides, all_orderings, support
 from .cool_orderings import (
     all_orderings_cool,
     find_cool_ordering,
@@ -61,18 +61,14 @@ def antichains(n: int, max_total_degree: int) -> Iterable[tuple[Monomial, ...]]:
 def _least_relabeling(rows: Sequence[tuple], n: int) -> tuple:
     """Least sorted image of the rows over all permutations of their n columns.
 
-    The rows are transposed once; each permutation then rebuilds its rows
-    from the permuted columns in one ``zip``.
+    ``itertools.permutations(row)`` yields ``(row[p[0]], ..., row[p[n-1]])``
+    for each ``p`` of ``itertools.permutations(range(n))``, in that order for
+    every row. Zipping the rows' iterators therefore yields, per column
+    permutation, the tuple of every row's image, all built in C.
     """
     if not (rows and n):
         return ((),) * len(rows)
-    cols = list(zip(*rows))
-    return tuple(
-        min(
-            sorted(zip(*map(cols.__getitem__, perm)))
-            for perm in itertools.permutations(range(n))
-        )
-    )
+    return tuple(min(map(sorted, zip(*map(itertools.permutations, rows)))))
 
 
 def _representatives(items: Iterable, canonical) -> Iterable:
@@ -87,7 +83,10 @@ def _representatives(items: Iterable, canonical) -> Iterable:
 
 def permutation_canonical(M: Sequence[Monomial], n: int) -> tuple:
     """Least relabeling of the letters, for deduplication."""
-    return _least_relabeling([m.exponents for m in M], n)
+    rows = [m.exponents for m in M]
+    if any(len(row) != n for row in rows):
+        raise AlphabetMismatchError("monomial and alphabet sizes differ")
+    return _least_relabeling(rows, n)
 
 
 def representative_antichains(

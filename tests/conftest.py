@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from operator import le
@@ -21,6 +22,7 @@ from monoideal.core import (
     support,
 )
 from monoideal.cool_orderings import helps
+from monoideal.crosscheck import representative_quadratic_sets
 from monoideal.polyhedral import IneqSystem, _check_vector, _hull_test, _is_minimal
 from monoideal.sorted_ideal import FgWitness, _scan_order
 from monoideal.torientation import (
@@ -38,6 +40,12 @@ def M(*vectors) -> tuple[Monomial, ...]:
 
 def W(*seqs) -> tuple[Word, ...]:
     return tuple(Word(tuple(s)) for s in seqs)
+
+
+@functools.cache
+def quadratic_family(n: int) -> tuple[tuple[Monomial, ...], ...]:
+    """``representative_quadratic_sets(n)``, built once per test session."""
+    return tuple(representative_quadratic_sets(n))
 
 
 def outcome(fn, *args):

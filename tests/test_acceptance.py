@@ -34,7 +34,6 @@ from monoideal.crosscheck import (
     check_nae_reduction,
     check_sat_reduction,
     representative_antichains,
-    representative_quadratic_sets,
 )
 from monoideal.polyhedral import (
     Certificate,
@@ -69,7 +68,13 @@ from monoideal.word_oracle import (
     sorted_ideal_report,
 )
 
-from conftest import M, W, brute_force_t_orientations, enumerate_t_orientations
+from conftest import (
+    M,
+    W,
+    brute_force_t_orientations,
+    enumerate_t_orientations,
+    quadratic_family,
+)
 
 AB2C_A3B = M((1, 2, 1), (3, 1, 0))  # {a b^2 c, a^3 b}
 
@@ -240,7 +245,7 @@ def test_criterion_8_sat_reduction_pinfg():
 def test_criterion_9_quadratic_bridge():
     for n in range(2, 6):
         count = 0
-        for members in representative_quadratic_sets(n):
+        for members in quadratic_family(n):
             count += 1
             found = find_cool_ordering(members, n).found
             exhaustive = any(is_cool(members, o) for o in all_orderings(n))

@@ -49,6 +49,7 @@ from conftest import (
     frozenset_cover_supports,
     frozenset_has_extremal_cover,
     internal_letters,
+    quadratic_family,
     referee_witness,
 )
 
@@ -97,7 +98,7 @@ def refereed_sets():
     """The sets the step table is refereed on, each with its letter count and
     the extremal-filing referee's verdicts on ``all_orderings(n)``, in that order."""
     groups = (
-        representative_quadratic_sets(5),
+        quadratic_family(5),
         _random_quadratic_sets(6, 20, seed=15),
         antichains(3, 3),
         antichains(4, 2),

@@ -1,14 +1,16 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from monoideal.core import Monomial
+from monoideal.core import AlphabetMismatchError, Monomial
 from monoideal.crosscheck import (
     _clause_canonical,
     _least_relabeling,
     antichains,
     permutation_canonical,
+    quadratic_sets,
     representative_antichains,
     representative_cnf_instances,
     representative_nae_instances,
@@ -100,6 +102,55 @@ def test_column_canonicalizer_matches_the_per_row_referee():
         repeats = 40 if n < 6 else 6
         cases += [(_random_rows(rng, n, exponent), n) for _ in range(repeats)]
         cases += [(_random_rows(rng, n, occurrences), n) for _ in range(repeats // 2)]
+    # quadratic sets drawn as the benchmark's search sweep draws them
+    for _ in range(20):
+        cases.append((_sweep_quadratic_rows(rng, 6), 6))
+    # the rows of NAE clauses, as _clause_canonical builds them
+    for v in (4, 5):
+        for _ in range(10):
+            clauses = [
+                [rng.choice((1, -1)) * x for x in rng.sample(range(1, v + 1), 3)]
+                for _ in range(rng.randint(1, 2 * v))
+            ]
+            rows = [tuple((c.count(x), c.count(-x)) for x in range(1, v + 1)) for c in clauses]
+            cases.append((rows, v))
+    # entries on both sides of 2^63, past any machine-word shortcut
+    near_word = lambda: 2**63 + rng.randint(-2, 2)
+    cases += [(_random_rows(rng, n, near_word), n) for n in (2, 3, 4, 5) for _ in range(5)]
+    cases += [(_random_rows(rng, 7, exponent), 7) for _ in range(3)]
     for rows, n in cases:
         assert _least_relabeling(rows, n) == _least_relabeling_by_rows(rows, n), (rows, n)
 
+
+def _sweep_quadratic_rows(rng, n):
+    """Each square with probability 0.1, each product of two letters with 0.6."""
+    squares = [tuple(2 * (i == x) for i in range(n)) for x in range(n) if rng.random() < 0.1]
+    products = [
+        tuple(int(i in pair) for i in range(n))
+        for pair in itertools.combinations(range(n), 2)
+        if rng.random() < 0.6
+    ]
+    return squares + products
+
+
+def test_canonical_forms_are_pinned():
+    # the benchmark's search sweep digests these values, so a faster
+    # canonicalizer must return exactly the same least relabeling
+    families = ((3, antichains(3, 3)), (4, antichains(4, 2)), (4, quadratic_sets(4)))
+    canon = [permutation_canonical(members, n) for n, family in families for members in family]
+    assert len(canon) == 2496 + 1336 + 1023
+    assert hashlib.sha256(repr(canon).encode()).hexdigest() == (
+        "9c49d35e74cac700ee1471fd676960a6751e7b2d308d4357de2dfaa2090ea10b"
+    )
+
+
+def test_permutation_canonical_checks_the_alphabet():
+    # a and c over three letters: two columns would drop c's, so c read as the unit
+    members = M((1, 0, 0), (0, 0, 1))
+    for n in (2, 4):
+        with pytest.raises(AlphabetMismatchError, match="monomial and alphabet sizes differ"):
+            permutation_canonical(members, n)
+    with pytest.raises(AlphabetMismatchError):
+        permutation_canonical(M((1, 0, 0), (0, 1)), 3)
+    assert permutation_canonical((), 3) == ()
+    assert permutation_canonical(members, 3) == ((0, 0, 1), (0, 1, 0))
