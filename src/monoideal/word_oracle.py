@@ -8,16 +8,18 @@ carry letter counts with each stem instead of calling the membership
 tests, which stay their referee in the tests.  They walk words depth first,
 as they return words, while the probe walks levels of pairs of states and
 stops at the period of those levels, with no length cap; both read
-minimality off the pair of a stem's state and its tail's.  Everything here
-is independent of the fast decision procedures so it can referee them: the
-walks share only core's dominance test with the code they referee, and
-``divides`` with the ``word_in_*`` tests referee that test.
+minimality off the pair of a stem's state and its tail's, and expand only
+the pairs whose two states differ.  Everything here is independent of the
+fast decision procedures so it can referee them: the count walks decide
+dominance on their own per-letter row masks, and the ``word_in_*`` tests
+decide it with ``divides``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import and_, getitem
 from typing import Callable, Sequence
 
 from .core import (
@@ -25,7 +27,7 @@ from .core import (
     Monomial,
     Ordering,
     Word,
-    _some_row_divides,
+    _Frozen,
     divides,
     nonunit_set,
     pi,
@@ -35,8 +37,7 @@ from .core import (
 DEFAULT_MEMBERSHIP_BUDGET = 20_000_000
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(_Frozen):
     """Outcome of a bounded minimal-generator enumeration.
 
     ``saturated`` records whether the top half of the searched length range
@@ -45,9 +46,25 @@ class EnumerationReport:
     appearing near the cap.
     """
 
+    __slots__ = ("cap", "minimal_generators", "saturated")
+    __match_args__ = ("cap", "minimal_generators", "saturated")
     cap: int
     minimal_generators: tuple[Word, ...]
     saturated: bool
+
+    def __init__(self, cap: int, minimal_generators: tuple[Word, ...], saturated: bool):
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "minimal_generators", minimal_generators)
+        object.__setattr__(self, "saturated", saturated)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cap, self.minimal_generators, self.saturated) == (
+                other.cap, other.minimal_generators, other.saturated)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cap, self.minimal_generators, self.saturated))
 
 
 def _sorted_segments(u: Word, ord: Ordering) -> list[tuple[int, ...]]:
@@ -119,9 +136,13 @@ def _walk(
     extended.  ``root`` is the state of the empty word, and
     ``successors(state)`` the state of each one-letter extension, None for
     a member.  Each stem on the stack carries its state and its tail's, and
-    the stack holds only the stems beside the current path.  Each word
-    examined counts as one membership test against ``budget``; the walk
-    raises once the count passes it, naming the length then under test.
+    the stack holds only the stems beside the current path.  A stem whose
+    state equals its tail's is not extended: equal states have equal
+    successors on every suffix, and an emission needs the stem's successor
+    to be a member and the tail's not, so no extension of it can emit.
+    Each expanded stem counts as one membership test per letter against
+    ``budget`` (the empty word as one more); the walk raises once the count
+    passes it, naming the length then under test.
     """
     _check_walk(cap, alphabet_size)
     tests = 1
@@ -146,7 +167,7 @@ def _walk(
             if s is None:
                 if t is not None:
                     found.append(Word(w))
-            elif len(w) < cap:
+            elif len(w) < cap and s != t:
                 stack.append((w, s, t))
     threshold = cap // 2 + 1
     saturated = all(len(w) <= threshold for w in found)
@@ -165,9 +186,10 @@ def enumerate_minimal_generators(
     one of its factors is.  A word is a minimal generator when it is in the
     ideal but dropping its first or its last letter leaves the ideal.  The
     enumeration walks the tree of non-members depth first, with the stem
-    itself as its state.  A stem is asked about again as the tail of a
-    longer one, so each stem's row is kept, and ``membership`` is still
-    asked about each one-letter extension once.
+    itself as its state, so no stem's state equals its tail's and every
+    non-member shorter than ``cap`` is expanded.  A stem is asked about
+    again as the tail of a longer one, so each stem's row is kept, and
+    ``membership`` is still asked about each one-letter extension once.
     """
     _check_walk(cap, alphabet_size)
     rows: dict[tuple[int, ...], list[object]] = {}
@@ -191,43 +213,62 @@ def _count_states(rows: tuple[tuple[int, ...], ...], rank: Sequence[int]):
     A state carries the letter counts of a non-member's trailing maximal
     sorted segment under ``rank``.  Every segment before the last one
     already fails, so ``u + z`` is a member exactly when the trailing
-    segment, extended by ``z``, dominates a row.  A state is the last
-    letter with the counts of that segment; the counts restart when ``z``
-    ranks below the last letter.  Counts are capped at the largest exponent
-    of their letter in the rows, which decides the same dominance and keeps
-    the states few.  ``successors(state)``, computed once per state, lists
-    the state of each one-letter extension, None for a member.
+    segment, extended by ``z``, dominates a row.  A state is the rank of
+    the last letter with the counts of that segment; the counts restart
+    when ``z`` ranks below it.  Under an ordering the ranks are distinct,
+    and under the preimage (every rank equal) the states of all last
+    letters merge.  Counts are capped at the largest exponent of their
+    letter in the rows, which decides the same dominance and keeps the
+    states few.  Dominance is read off row masks: ``below[y][k]`` holds the
+    rows whose entry at ``y`` is at most ``k``, and a count vector
+    dominates a row when its masks share one.  Each list grows by one entry
+    when a count first reaches a new value, so the masks are bounded by the
+    counts reached, never by the exponents.  ``successors(state)``,
+    computed once per state, lists the state of each one-letter extension,
+    None for a member.
     """
     n = len(rank)
     top = tuple(map(max, zip(*rows)))
     zero = (0,) * n
     table: dict[object, list[object]] = {}
 
+    def within(y, k):
+        return sum(1 << i for i, r in enumerate(rows) if r[y] <= k)
+
+    below = [[within(y, 0)] for y in range(n)]
+
     def successors(state):
         row = table.get(state)
         if row is None:
-            last, counts = state
+            level, counts = state
             row = table[state] = []
             for z in range(n):
-                c = zero if rank[z] < rank[last] else counts
-                if c[z] < top[z]:
-                    c = c[:z] + (c[z] + 1,) + c[z + 1 :]
-                row.append(None if _some_row_divides(rows, c) else (z, c))
+                c = zero if rank[z] < level else counts
+                k = c[z]
+                if k < top[z]:
+                    k += 1
+                    c = c[:z] + (k,) + c[z + 1 :]
+                    if k == len(below[z]):
+                        below[z].append(within(z, k))
+                row.append(None if reduce(and_, map(getitem, below, c)) else (rank[z], c))
         return row
 
-    return (min(range(n), key=rank.__getitem__), zero), successors
+    return (min(rank), zero), successors
 
 
 def _pair_walk(rows, rank: Sequence[int], budget: int) -> bool:
     """Whether the sorted-word ideal of ``rows`` under ``rank`` (the
     preimage ideal when every rank is equal) has finitely many minimal
     generators: a walk over levels of pairs of count states, of a
-    non-member stem and of its tail, read by ``_pairs``.  Each level is a
-    function of the one before it and decides which lengths emit, so the
-    levels are eventually periodic; the walk stops at the first level seen
-    twice, and the generators are finite exactly when the period emits
-    none.  Tests count against ``budget`` as in ``_walk``, one per (pair,
-    letter).
+    non-member stem and of its tail, read by ``_pairs``.  A pair of equal
+    states is left out of the next level: equal states have equal
+    successors on every suffix, so no extension of it can emit, which
+    needs the stem's successor to be a member and the tail's not.  Each
+    level is still a function of the one before it and decides which
+    lengths emit, so the levels are eventually periodic; the walk stops at
+    the first level seen twice, and the generators are finite exactly when
+    the period emits none.  Tests count against ``budget`` as in ``_walk``,
+    one per (pair, letter) of each level.
     """
     root, successors = _count_states(rows, rank)
     # the empty word counts as one test, and is each one-letter word's tail
@@ -245,10 +286,11 @@ def _pair_walk(rows, rank: Sequence[int], budget: int) -> bool:
         following = set()
         for stem, tail in level:
             for s, t in _pairs(successors, root, stem, tail):
-                if s is not None:
+                if s is None:
+                    if t is not None:
+                        last_emission = length
+                elif s != t:
                     following.add((s, t))
-                elif t is not None:
-                    last_emission = length
         level = frozenset(following)
     # a level of length-l stems emits generators of length l + 1, so the
     # period emits none when the last emission is no longer than its start

@@ -959,6 +959,25 @@ def test_check_fg_process_loads_only_the_modules_it_runs(tmp_path):
         "monoideal", "monoideal.cli", "monoideal.core", "monoideal.sorted_ideal"]
 
 
+def test_oracle_process_loads_no_dataclasses(tmp_path):
+    # the word oracle's report is a slotted value class, as core's are
+    f = tmp_path / "m.mon"
+    f.write_text(EXAMPLE)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from monoideal.cli import main; "
+        "code = main(sys.argv[2:]); print(*sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('monoideal', 'dataclasses'))); sys.exit(code)"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script, src, "oracle", str(f),
+                           "--target", "sorted", "--cap", "6"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == "", done
+    report, loaded = done.stdout.splitlines()
+    assert json.loads(report)["minimal_generators"] == ["b a^3", "b^2 a c", "b^2 a^2 c"]
+    assert loaded.split() == ["monoideal", "monoideal.cli", "monoideal.core",
+                              "monoideal.sorted_ideal", "monoideal.word_oracle"]
+
+
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     f = tmp_path / "m.mon"
     f.write_text(EXAMPLE)

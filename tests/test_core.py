@@ -53,6 +53,7 @@ from monoideal.sorted_ideal import (
 )
 from monoideal.torientation import NaeInstance, nae3sat_brute
 from monoideal.word_oracle import (
+    EnumerationReport,
     preimage_report,
     sorted_ideal_report,
     word_in_preimage,
@@ -788,6 +789,12 @@ VALUES = {
         "FgWitness(verdict=False, violator=(Monomial(exponents=(1, 2, 1)), 1))",
         "violator",
     ),
+    "EnumerationReport": (
+        lambda: EnumerationReport(4, W((0, 1), (1,)), False),
+        "EnumerationReport(cap=4, minimal_generators=(Word(letters=(0, 1)), "
+        "Word(letters=(1,))), saturated=False)",
+        "minimal_generators",
+    ),
 }
 
 
@@ -810,4 +817,6 @@ def test_value_classes_compare_hash_and_freeze_their_fields(name):
 def test_value_classes_differ_across_classes():
     assert Monomial((1,)) != Word((1,)) and Word((1,)) != Monomial((1,))
     assert FgWitness(True) == FgWitness(True, None) != FgWitness(False)
+    assert EnumerationReport(4, (), True) != EnumerationReport(4, (), False)
+    assert EnumerationReport(4, (), True) != EnumerationReport(5, (), True)
     assert pickle.loads(pickle.dumps(Ordering((2, 0, 1)))).sequence() == (1, 2, 0)

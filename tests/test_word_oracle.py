@@ -21,6 +21,7 @@ from monoideal.core import (
     word_is_factor,
 )
 from monoideal.crosscheck import antichains, representative_antichains
+from monoideal.preimage import preimage_fg
 from monoideal.sorted_ideal import complete_enumeration_bound, is_fg_sorted
 from monoideal.word_oracle import (
     EnumerationReport,
@@ -154,8 +155,16 @@ def test_enumeration_matches_direct_scan():
 
 
 def test_enumeration_budget():
+    # a stem whose count state equals its tail's is not expanded, so the
+    # square's full walk to length 12 takes 25 tests
+    assert preimage_report(M((2, 0)), 12, budget=50) == preimage_report(M((2, 0)), 12)
+    assert preimage_report(M((2, 0)), 12, budget=25).cap == 12
     with pytest.raises(BudgetExceededError):
-        preimage_report(M((2, 0)), 12, budget=50)
+        preimage_report(M((2, 0)), 12, budget=24)
+    # a^2 b^2 takes 59
+    with pytest.raises(BudgetExceededError):
+        preimage_report(M((2, 2)), 12, budget=50)
+    assert preimage_report(M((2, 2)), 12, budget=59).cap == 12
 
 
 def test_finiteness_probe():
@@ -177,9 +186,10 @@ def test_finiteness_probe_singletons():
     assert finiteness_probe(M((6, 4, 3, 0, 0)), Ordering.from_sequence((2, 1, 3, 4, 0))) is False
 
 
-def test_finiteness_probe_matches_criterion_on_five_letters():
-    rng = random.Random(2)
-    verdicts = set()
+def _random_five_letter_pairs(seed):
+    """200 seeded antichains of 1-3 members over five letters, exponents at
+    most 3, each with a random ordering."""
+    rng = random.Random(seed)
     for _ in range(200):
         members = []
         for _ in range(rng.randint(1, 3)):
@@ -187,8 +197,12 @@ def test_finiteness_probe_matches_criterion_on_five_letters():
             for x in rng.sample(range(5), rng.randint(1, 3)):
                 exponents[x] = rng.randint(1, 3)
             members.append(Monomial(tuple(exponents)))
-        members = antichain_reduce(members)
-        ord = Ordering.from_sequence(rng.sample(range(5), 5))
+        yield antichain_reduce(members), Ordering.from_sequence(rng.sample(range(5), 5))
+
+
+def test_finiteness_probe_matches_criterion_on_five_letters():
+    verdicts = set()
+    for members, ord in _random_five_letter_pairs(2):
         verdict = is_fg_sorted(members, ord).verdict
         assert finiteness_probe(members, ord) == verdict, (members, ord)
         verdicts.add(verdict)
@@ -238,6 +252,62 @@ def test_pair_walk_budget_names_the_length():
     assert _pair_walk(rows, BAC.rank, 10**6)
 
 
+def test_pair_walks_match_both_criteria_on_random_five_letter_pairs():
+    # the probe referees the sorted criterion, and the pair walk with every
+    # rank equal the preimage criterion, beyond the exhaustive families
+    sorted_verdicts, preimage_verdicts = set(), set()
+    for members, ord in _random_five_letter_pairs(24):
+        verdict = is_fg_sorted(members, ord).verdict
+        assert finiteness_probe(members, ord) == verdict, (members, ord)
+        rows = tuple(m.exponents for m in members)
+        preimage = preimage_fg(members).verdict
+        assert _pair_walk(rows, (0,) * 5, 10**7) == preimage, members
+        sorted_verdicts.add(verdict)
+        preimage_verdicts.add(preimage)
+    assert sorted_verdicts == preimage_verdicts == {True, False}
+
+
+A6C6 = (0,) * 6 + (2,) * 6
+A5C5 = (0,) * 5 + (2,) * 5
+
+
+@pytest.mark.parametrize(
+    "walk, least, expected",
+    [
+        (lambda budget: sorted_ideal_report(M((6, 0, 6)), IDENT3, 13, budget), 946,
+         EnumerationReport(13, W(A6C6, A6C6[:6] + (1,) + A6C6[6:]), False)),
+        (lambda budget: sorted_ideal_report(
+            M((5, 0, 5), (0, 4, 0), (2, 2, 0)), IDENT3, 14, budget), 484,
+         EnumerationReport(
+             14, W((0, 0, 1, 1), (1, 1, 1, 1), A5C5, A5C5[:5] + (1,) + A5C5[5:]), False)),
+        (lambda budget: _pair_walk(((96, 0, 96), (0, 3, 0)), IDENT3.rank, budget), 127_147,
+         True),
+    ],
+    ids=["a6c6-cap13", "a5c5-b4-a2b2-cap14", "a96c96-b3-probe"],
+)
+def test_exponent_heavy_walks_run_at_exact_budgets(walk, least, expected):
+    # a walk that expands every non-member stem takes 2,391,481 and
+    # 5,864,380 tests on the two reports, and more than 7.6e6 on the probe;
+    # skipping the stems whose state equals their tail's leaves these
+    with pytest.raises(BudgetExceededError):
+        walk(least - 1)
+    assert walk(least) == expected
+
+
+def test_word_walks_stay_small_at_huge_exponents():
+    # the row masks grow with the counts a walk reaches, never with the
+    # exponents: a table filled up to them could not be built here
+    huge = M((2**61, 0, 2**61))
+    tracemalloc.start()
+    try:
+        reports = sorted_ideal_report(huge, IDENT3, 12), preimage_report(huge, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert reports == (EnumerationReport(12, (), True), EnumerationReport(8, (), True))
+
+
 def _predicate_report(target, M, ord, cap, budget):
     if target == "sorted":
         return enumerate_minimal_generators(
@@ -278,10 +348,19 @@ def test_count_walks_match_predicate_walk():
 
 @pytest.mark.parametrize("target", ["sorted", "preimage"])
 def test_count_walks_spend_the_predicate_budget(target):
-    # a full walk to length 4 takes 121 tests, so both outcomes occur
+    # the predicate walk expands every non-member stem and takes 121 tests
+    # to length 4; the count walks skip the stems whose state equals their
+    # tail's, so they never raise where it does not
+    outcomes = set()
     for budget in range(1, 130):
         args = (target, AB2C_A3B, BAC, 4, budget)
-        assert _outcome(_count_report, *args) == _outcome(_predicate_report, *args), budget
+        count, predicate = _outcome(_count_report, *args), _outcome(_predicate_report, *args)
+        if isinstance(count, str):
+            assert isinstance(predicate, str), budget
+        elif not isinstance(predicate, str):
+            assert count == predicate, budget
+        outcomes.add((isinstance(count, str), isinstance(predicate, str)))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize(
@@ -291,13 +370,34 @@ def test_count_walks_spend_the_predicate_budget(target):
 )
 def test_budget_outcome_matches_an_independent_count(target, members, ord, cap):
     # a full walk tests the empty word, then each letter after every
-    # non-member shorter than the cap; counted here from the word list
+    # expanded stem: a non-member shorter than the cap none of whose
+    # nonempty prefixes has the state of its own tail. Counted here from
+    # the word list, with a word's state read off its trailing sorted
+    # segment: the rank of its last letter and its letter counts, capped
+    # at the largest exponent of each letter
     if target == "sorted":
         member = lambda u: word_in_sorted_ideal(u, members, ord)
+        rank = ord.rank
     else:
         member = lambda u: word_in_preimage(u, members)
+        rank = (0,) * ord.n
     n = ord.n
-    total = 1 + n * sum(not member(u) for u in all_words_up_to(n, cap - 1))
+    top = [max(m.exponents[x] for m in members) for x in range(n)]
+
+    def state(u):
+        start = len(u) - 1
+        while start > 0 and rank[u[start - 1]] <= rank[u[start]]:
+            start -= 1
+        segment = u[max(start, 0):]
+        counts = tuple(min(segment.count(x), top[x]) for x in range(n))
+        return rank[u[-1]] if u else min(rank), counts
+
+    def expanded(u):
+        return not member(Word(u)) and all(
+            state(u[:i]) != state(u[1:i]) for i in range(1, len(u) + 1))
+
+    words = (u.letters for u in all_words_up_to(n, cap - 1))
+    total = 1 + n * sum(map(expanded, words))
     full = _count_report(target, members, ord, cap, 10**6)
     for budget in range(1, total + 3):
         outcome = _outcome(_count_report, target, members, ord, cap, budget)
