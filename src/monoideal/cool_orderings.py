@@ -15,13 +15,13 @@ that fails, and searches each set of placed letters at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     Monomial,
     MonoidealError,
     Ordering,
+    _Frozen,
     checked_antichain,
     divides,
     erase,
@@ -36,11 +36,16 @@ from .torientation import (
 )
 
 
-@dataclass(frozen=True)
-class CoolSearchResult:
+class CoolSearchResult(_Frozen):
+    __slots__ = __match_args__ = ("found", "ordering", "nodes_explored")
     found: bool
     ordering: Ordering | None
     nodes_explored: int
+
+    def __init__(self, found: bool, ordering: Ordering | None, nodes_explored: int):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
 
 
 def is_cool(M: Sequence[Monomial], ord: Ordering) -> bool:
@@ -156,7 +161,7 @@ def quadratic_to_support2(M: Sequence[Monomial]) -> tuple[Monomial, ...]:
                 e = [0] * n
                 e[x] = 2
                 e[y] = 1
-                out.append(Monomial(tuple(e)))
+                out.append(Monomial(e))
     return monomial_set(out)
 
 

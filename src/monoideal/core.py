@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import sys
 from bisect import bisect_left
-from operator import le
+from operator import attrgetter, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 # Exponent arithmetic is checked against a 64-bit budget: exponents may be
@@ -100,10 +100,27 @@ def check_announced(announced: int | None, found: int, noun: str) -> None:
 
 
 class _Frozen:
-    """Fields are set once, in ``__init__``; ``repr`` and pickling read the
-    fields named in ``__match_args__``."""
+    """A value class whose fields are set once, in ``__init__``.
+
+    Equality, hashing, ``repr`` and pickling read the fields named in
+    ``__match_args__``; values of different classes are never equal.  A
+    subclass writes only ``__slots__``, ``__match_args__`` and ``__init__``.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields, read in C: one field alone, several as a tuple
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -122,24 +139,16 @@ class _Frozen:
 class Alphabet(_Frozen):
     """A finite set of letters with display names; index order is fixed."""
 
-    __slots__ = ("names",)
-    __match_args__ = ("names",)
+    __slots__ = __match_args__ = ("names",)
     names: tuple[str, ...]
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if len(names) == 0:
             raise MonoidealError("alphabet must contain at least one letter")
         if len(set(names)) != len(names):
             raise MonoidealError("alphabet names must be pairwise distinct")
         object.__setattr__(self, "names", names)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.names == other.names
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.names,))
 
     @property
     def size(self) -> int:
@@ -155,11 +164,11 @@ class Alphabet(_Frozen):
 class Monomial(_Frozen):
     """An element of the free commutative monoid: an exponent vector."""
 
-    __slots__ = ("exponents",)
-    __match_args__ = ("exponents",)
+    __slots__ = __match_args__ = ("exponents",)
     exponents: tuple[int, ...]
 
-    def __init__(self, exponents: tuple[int, ...]):
+    def __init__(self, exponents: Iterable[int]):
+        exponents = tuple(exponents)
         total = 0
         for e in exponents:
             if not isinstance(e, int) or isinstance(e, bool):
@@ -172,14 +181,6 @@ class Monomial(_Frozen):
                 f"total degree {total} exceeds the 64-bit limit"
             )
         object.__setattr__(self, "exponents", exponents)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exponents == other.exponents
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.exponents,))
 
     @property
     def n(self) -> int:
@@ -197,11 +198,11 @@ class Monomial(_Frozen):
 class Word(_Frozen):
     """An element of the free monoid: a finite sequence of letter indices."""
 
-    __slots__ = ("letters",)
-    __match_args__ = ("letters",)
+    __slots__ = __match_args__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __init__(self, letters: tuple[int, ...]):
+    def __init__(self, letters: Iterable[int]):
+        letters = tuple(letters)
         # plain ints with a nonnegative minimum pass in C; the loop names the
         # first bad letter, and accepts int subclasses other than bool
         if not (set(map(type, letters)) <= {int} and min(letters, default=0) >= 0):
@@ -209,14 +210,6 @@ class Word(_Frozen):
                 if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                     raise MonoidealError(f"invalid letter index {x!r}")
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -233,7 +226,8 @@ class Ordering(_Frozen):
     __match_args__ = ("rank",)
     rank: tuple[int, ...]
 
-    def __init__(self, rank: tuple[int, ...]):
+    def __init__(self, rank: Iterable[int]):
+        rank = tuple(rank)
         seq = [-1] * len(rank)
         for letter, pos in enumerate(rank):
             if not isinstance(pos, int) or isinstance(pos, bool):
@@ -244,14 +238,6 @@ class Ordering(_Frozen):
         object.__setattr__(self, "rank", rank)
         # not a field, so repr, == and hash read the rank alone
         object.__setattr__(self, "_sequence", tuple(seq))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rank == other.rank
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank,))
 
     @property
     def n(self) -> int:
@@ -266,7 +252,7 @@ class Ordering(_Frozen):
 
     def reversed(self) -> "Ordering":
         n = self.n
-        return Ordering(tuple(n - 1 - r for r in self.rank))
+        return Ordering(n - 1 - r for r in self.rank)
 
     @staticmethod
     def from_sequence(seq: Sequence[int]) -> "Ordering":
@@ -274,13 +260,13 @@ class Ordering(_Frozen):
         # seq is a permutation exactly when it passes as a rank, and the
         # inverse of that rank is then the rank of the ordering seq lists
         try:
-            return Ordering(Ordering(tuple(seq)).sequence())
+            return Ordering(Ordering(seq).sequence())
         except MonoidealError:
             raise MonoidealError("ordering sequence must list each letter once") from None
 
     @staticmethod
     def identity(n: int) -> "Ordering":
-        return Ordering(tuple(range(n)))
+        return Ordering(range(n))
 
 
 def all_orderings(n: int) -> Iterable[Ordering]:
@@ -288,7 +274,7 @@ def all_orderings(n: int) -> Iterable[Ordering]:
     for seq in itertools.permutations(range(n)):
         for pos, x in enumerate(seq):
             rank[x] = pos
-        yield Ordering(tuple(rank))
+        yield Ordering(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +302,7 @@ def erase(w: Monomial, x: int) -> Monomial:
     _check_letter(x, w.n)
     e = list(w.exponents)
     e[x] = 0
-    return Monomial(tuple(e))
+    return Monomial(e)
 
 
 def support(w: Monomial) -> frozenset[int]:
@@ -440,7 +426,7 @@ def sigma(w: Monomial, ord: Ordering) -> Word:
     letters: list[int] = []
     for x in ord.sequence():
         letters.extend([x] * w.exponents[x])
-    return Word(tuple(letters))
+    return Word(letters)
 
 
 def pi(u: Word, n: int) -> Monomial:
@@ -449,7 +435,7 @@ def pi(u: Word, n: int) -> Monomial:
     for x in u.letters:
         _check_letter(x, n)
         e[x] += 1
-    return Monomial(tuple(e))
+    return Monomial(e)
 
 
 def sort_word(u: Word, ord: Ordering) -> Word:

@@ -157,9 +157,7 @@ def quadratic_sets(n: int) -> Iterable[tuple[Monomial, ...]]:
     # squares x*x first, then products x*y with x < y: the enumeration order
     # decides which set of each class is its representative
     letter_pairs = [(x, x) for x in range(n)] + list(itertools.combinations(range(n), 2))
-    quads = [
-        Monomial(tuple((i == x) + (i == y) for i in range(n))) for x, y in letter_pairs
-    ]
+    quads = [Monomial((i == x) + (i == y) for i in range(n)) for x, y in letter_pairs]
     for size in range(1, len(quads) + 1):
         for combo in itertools.combinations(quads, size):
             yield combo

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
@@ -25,6 +24,7 @@ from .core import (
     Monomial,
     MonoidealError,
     Ordering,
+    _Frozen,
     _some_row_divides,
     monomial_set,
     some_assignment_passes,
@@ -41,13 +41,22 @@ def _check_integers(values: Iterable, what: str) -> None:
             raise MonoidealError(f"{what} {v!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class IneqSystem:
+class IneqSystem(_Frozen):
+    __slots__ = __match_args__ = ("rows", "thresholds", "names")
     rows: tuple[tuple[int, ...], ...]
     thresholds: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...] | None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rows: tuple[tuple[int, ...], ...],
+        thresholds: tuple[tuple[int, ...], ...],
+        names: tuple[str, ...] | None = None,
+    ):
+        # set first: the checks read ``ncols``
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "names", names)
         for row in self.rows:
             _check_integers(row, "matrix entry")
             if any(a < 0 for a in row):
@@ -57,9 +66,7 @@ class IneqSystem:
         for w in self.thresholds:
             _check_integers(w, "threshold entry")
             if len(w) != len(self.rows):
-                raise MonoidealError(
-                    "threshold length must equal the number of rows"
-                )
+                raise MonoidealError("threshold length must equal the number of rows")
             if any(x < 0 for x in w):
                 raise MonoidealError("threshold entries must be nonnegative")
         if self.names is not None and len(self.names) != self.ncols:
@@ -358,21 +365,31 @@ def convexity_check(
 CERTIFICATE_KINDS = ("support3", "preimage_not_fg", "sorted_not_fg")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
+    __slots__ = __match_args__ = ("kind", "generator", "letter", "ordering")
     kind: str
     generator: tuple[int, ...]
-    letter: int | None = None
-    ordering: Ordering | None = None
+    letter: int | None
+    ordering: Ordering | None
 
-    def __post_init__(self):
-        if self.kind not in CERTIFICATE_KINDS:
-            raise MonoidealError(f"unknown certificate kind {self.kind!r}")
-        if self.kind != "support3" and self.letter is None:
-            raise MonoidealError(f"certificate kind {self.kind!r} requires a letter")
-        _check_integers(self.generator, "generator entry")
-        if self.letter is not None:
-            _check_integers([self.letter], "letter")
+    def __init__(
+        self,
+        kind: str,
+        generator: tuple[int, ...],
+        letter: int | None = None,
+        ordering: Ordering | None = None,
+    ):
+        if kind not in CERTIFICATE_KINDS:
+            raise MonoidealError(f"unknown certificate kind {kind!r}")
+        if kind != "support3" and letter is None:
+            raise MonoidealError(f"certificate kind {kind!r} requires a letter")
+        _check_integers(generator, "generator entry")
+        if letter is not None:
+            _check_integers([letter], "letter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "ordering", ordering)
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "generator": list(self.generator)}
@@ -442,22 +459,24 @@ def verify_certificate(sys: IneqSystem, cert: Certificate) -> bool:
 SAT_TARGETS = ("mdois", "imfg", "pinfg")
 
 
-@dataclass(frozen=True)
-class SatInstance:
+class SatInstance(_Frozen):
     """CNF over variables 1..n; a literal is k or -k, clauses are nonempty."""
 
+    __slots__ = __match_args__ = ("variable_count", "clauses")
     variable_count: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.variable_count < 1:
+    def __init__(self, variable_count: int, clauses: tuple[tuple[int, ...], ...]):
+        if variable_count < 1:
             raise MonoidealError("need at least one variable")
-        for clause in self.clauses:
+        for clause in clauses:
             if not clause:
                 raise MonoidealError("clauses must be nonempty")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.variable_count:
+                if lit == 0 or abs(lit) > variable_count:
                     raise MonoidealError(f"literal {lit} out of range")
+        object.__setattr__(self, "variable_count", variable_count)
+        object.__setattr__(self, "clauses", clauses)
 
 
 def brute_force_sat(inst: SatInstance) -> bool:

@@ -11,7 +11,6 @@ pairwise condition and the resulting degree bounds are provided as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -22,12 +21,11 @@ from .core import (
     sorted_monomials,
     support,
 )
+from .sorted_ideal import FgWitness
 
 
-@dataclass(frozen=True)
-class PreimageWitness:
-    verdict: bool
-    violator: tuple[Monomial, int] | None = None
+class PreimageWitness(FgWitness):
+    __slots__ = ()
 
 
 def _pair_members(M: Sequence[Monomial]) -> list[tuple[int, int]]:
@@ -114,4 +112,4 @@ def preimage_degree_bounds(M: Sequence[Monomial]) -> tuple[int, ...]:
 
 def square_letters(M: Sequence[Monomial]) -> tuple[Monomial, ...]:
     """Substitute each letter by its square: double every exponent."""
-    return tuple(Monomial(tuple(2 * e for e in m.exponents)) for m in monomial_set(M))
+    return tuple(Monomial(2 * e for e in m.exponents) for m in monomial_set(M))

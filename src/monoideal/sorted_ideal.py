@@ -46,22 +46,13 @@ DEFAULT_LETTER_BUDGET = 10_000_000
 class FgWitness(_Frozen):
     """Decision plus, on a negative answer, the first failing pair."""
 
-    __slots__ = ("verdict", "violator")
-    __match_args__ = ("verdict", "violator")
+    __slots__ = __match_args__ = ("verdict", "violator")
     verdict: bool
     violator: tuple[Monomial, int] | None
 
     def __init__(self, verdict: bool, violator: tuple[Monomial, int] | None = None):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "violator", violator)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.verdict == other.verdict and self.violator == other.violator
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.verdict, self.violator))
 
 
 def _scan_order(M: Sequence[Monomial], ord: Ordering) -> list[Monomial]:
@@ -254,7 +245,7 @@ def fg_generating_set(
             e = list(w.exponents)
             for x, extra in zip(internals, extras):
                 e[x] += extra
-            words.append(sigma(Monomial(tuple(e)), ord))
+            words.append(sigma(Monomial(e), ord))
     return sorted_words(words)
 
 
@@ -313,7 +304,7 @@ def eps_minimal_generators(
             # a generator leaves the ideal when one copy of either extremal letter goes
             shaved = (e[:x] + [e[x] - 1] + e[x + 1 :] for x in {lo, hi})
             if not any(_some_row_divides(rows, s) for s in shaved):
-                out.append(sigma(Monomial(tuple(e)), ord))
+                out.append(sigma(Monomial(e), ord))
     return sorted_words(out)
 
 
@@ -359,11 +350,11 @@ def tight_family(m: int, r: Sequence[int]) -> tuple[Monomial, ...]:
         e = [0] * n
         e[0] = i + 1
         e[n - 1] = m - i
-        out.append(Monomial(tuple(e)))
+        out.append(Monomial(e))
     for j, rj in enumerate(r):
         e = [0] * n
         e[j + 1] = rj
-        out.append(Monomial(tuple(e)))
+        out.append(Monomial(e))
     return tuple(out)
 
 

@@ -13,7 +13,6 @@ brute force over all directions and its former arc-keyed form, are tests.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable
@@ -22,6 +21,7 @@ from .core import (
     MonoidealError,
     Ordering,
     ParseError,
+    _Frozen,
     check_announced,
     data_lines,
     header_fields,
@@ -29,27 +29,32 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class TGraph:
+class TGraph(_Frozen):
+    __slots__ = __match_args__ = ("vertex_count", "edges", "tset")
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     tset: frozenset[int]
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(
+        self, vertex_count: int, edges: tuple[tuple[int, int], ...], tset: frozenset[int]
+    ):
+        if vertex_count < 0:
             raise MonoidealError("vertex count must be nonnegative")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise MonoidealError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise MonoidealError(f"edge ({u},{v}) references a missing vertex")
             if (min(u, v), max(u, v)) in seen:
                 raise MonoidealError(f"duplicate edge ({u},{v})")
             seen.add((min(u, v), max(u, v)))
-        for t in self.tset:
-            if not 0 <= t < self.vertex_count:
+        for t in tset:
+            if not 0 <= t < vertex_count:
                 raise MonoidealError(f"T contains missing vertex {t}")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "tset", tset)
 
     @staticmethod
     def make(
@@ -61,11 +66,14 @@ class TGraph:
         return TGraph(vertex_count, tuple(canon), frozenset(tset))
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Frozen):
     """One directed pair per edge of the underlying graph."""
 
+    __slots__ = __match_args__ = ("arcs",)
     arcs: tuple[tuple[int, int], ...]
+
+    def __init__(self, arcs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "arcs", arcs)
 
     def edge_keys(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(u, v), max(u, v)) for u, v in self.arcs)
@@ -310,22 +318,24 @@ def gadget3() -> TGraph:
 # ---------------------------------------------------------------------------
 # not-all-equal 3-SAT
 
-@dataclass(frozen=True)
-class NaeInstance:
+class NaeInstance(_Frozen):
     """Clauses of exactly three literals; literal k or -k refers to variable k."""
 
+    __slots__ = __match_args__ = ("variable_count", "clauses")
     variable_count: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if self.variable_count < 0:
+    def __init__(self, variable_count: int, clauses: tuple[tuple[int, int, int], ...]):
+        if variable_count < 0:
             raise MonoidealError("variable count must be nonnegative")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) != 3:
                 raise MonoidealError("every clause must have exactly three literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.variable_count:
+                if lit == 0 or abs(lit) > variable_count:
                     raise MonoidealError(f"literal {lit} out of range")
+        object.__setattr__(self, "variable_count", variable_count)
+        object.__setattr__(self, "clauses", clauses)
 
 
 def nae3sat_brute(inst: NaeInstance) -> bool:

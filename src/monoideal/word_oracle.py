@@ -46,8 +46,7 @@ class EnumerationReport(_Frozen):
     appearing near the cap.
     """
 
-    __slots__ = ("cap", "minimal_generators", "saturated")
-    __match_args__ = ("cap", "minimal_generators", "saturated")
+    __slots__ = __match_args__ = ("cap", "minimal_generators", "saturated")
     cap: int
     minimal_generators: tuple[Word, ...]
     saturated: bool
@@ -56,15 +55,6 @@ class EnumerationReport(_Frozen):
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "minimal_generators", minimal_generators)
         object.__setattr__(self, "saturated", saturated)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cap, self.minimal_generators, self.saturated) == (
-                other.cap, other.minimal_generators, other.saturated)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cap, self.minimal_generators, self.saturated))
 
 
 def _sorted_segments(u: Word, ord: Ordering) -> list[tuple[int, ...]]:

@@ -978,6 +978,53 @@ def test_oracle_process_loads_no_dataclasses(tmp_path):
                               "monoideal.sorted_ideal", "monoideal.word_oracle"]
 
 
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # every value class is a core._Frozen subclass, so one process runs every
+    # command without loading dataclasses, or the inspect it imports
+    files = {
+        "m.mon": EXAMPLE,
+        "g.tg": "p tgraph 3 2\ne 1 2\ne 2 3\nt 2\n",
+        "i.nae": "1 2 3\n",
+        "f.cnf": "p cnf 3 1\n1 2 3 0\n",
+        "s.json": json.dumps({"A": [[1, 1, 1]], "W": [[3]]}),
+        "c.json": json.dumps({"kind": "support3", "generator": [1, 1, 1]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    mon, graph, nae, cnf, system, cert = (str(tmp_path / name) for name in files)
+    runs = {
+        "reduce": [mon], "check-fg": [mon], "generators": [mon], "gb-lift": [mon],
+        "is-cool": [mon], "find-cool": [mon], "all-cool": [mon], "preimage-fg": [mon],
+        "oracle": [mon, "--target", "preimage", "--cap", "4"], "torient": [graph],
+        "gen-tophat": [], "gen-gadget": [], "reduce-nae": [nae],
+        "poly-member": [system, "--vector", "1 1 1"], "poly-mingens": [system],
+        "poly-union": [system, system], "verify-cert": [system, cert],
+        "reduce-sat": [cnf, "--target", "pinfg"], "convexity": [mon],
+        "crosscheck": ["--letters", "2", "--max-degree", "2", "--quadratic-letters", "3",
+                       "--nae-variables", "1", "--nae-clauses", "1", "--sat-variables", "3",
+                       "--sat-clauses", "1"],
+    }
+    assert list(runs) == [name for name, *_ in COMMANDS]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); from monoideal.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
+        "print(json.dumps([codes, sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('monoideal', 'dataclasses', 'inspect'))]))"
+    )
+    argvs = [[name, *argv] for name, argv in runs.items()]
+    done = subprocess.run([sys.executable, "-I", "-c", script, src, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert dict(zip(runs, codes)) == dict.fromkeys(runs, 0) | {
+        "all-cool": 1, "preimage-fg": 1}
+    assert loaded == sorted(["monoideal", "monoideal.cli", "monoideal.cool_orderings",
+                             "monoideal.core", "monoideal.crosscheck", "monoideal.polyhedral",
+                             "monoideal.preimage", "monoideal.sorted_ideal",
+                             "monoideal.torientation", "monoideal.word_oracle"])
+
+
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     f = tmp_path / "m.mon"
     f.write_text(EXAMPLE)

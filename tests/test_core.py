@@ -42,16 +42,16 @@ from monoideal.core import (
     word_is_factor,
 )
 
-from monoideal.cool_orderings import all_orderings_cool, find_cool_ordering
-from monoideal.polyhedral import SatInstance, brute_force_sat
-from monoideal.preimage import preimage_fg, preimage_fg_pairs
+from monoideal.cool_orderings import CoolSearchResult, all_orderings_cool, find_cool_ordering
+from monoideal.polyhedral import Certificate, IneqSystem, SatInstance, brute_force_sat
+from monoideal.preimage import PreimageWitness, preimage_fg, preimage_fg_pairs
 from monoideal.sorted_ideal import (
     FgWitness,
     eps_minimal_generators,
     fg_generating_set,
     is_fg_sorted,
 )
-from monoideal.torientation import NaeInstance, nae3sat_brute
+from monoideal.torientation import NaeInstance, Orientation, TGraph, nae3sat_brute
 from monoideal.word_oracle import (
     EnumerationReport,
     preimage_report,
@@ -795,6 +795,44 @@ VALUES = {
         "Word(letters=(1,))), saturated=False)",
         "minimal_generators",
     ),
+    "TGraph": (
+        lambda: TGraph.make(3, [(1, 0), (1, 2)], [1]),
+        "TGraph(vertex_count=3, edges=((0, 1), (1, 2)), tset=frozenset({1}))",
+        "edges",
+    ),
+    "Orientation": (
+        lambda: Orientation(((0, 1), (2, 1))), "Orientation(arcs=((0, 1), (2, 1)))", "arcs"),
+    "NaeInstance": (
+        lambda: NaeInstance(3, ((1, -2, 3),)),
+        "NaeInstance(variable_count=3, clauses=((1, -2, 3),))",
+        "clauses",
+    ),
+    "IneqSystem": (
+        lambda: IneqSystem(((1, 0), (0, 1)), ((1, 1),), ("x", "y")),
+        "IneqSystem(rows=((1, 0), (0, 1)), thresholds=((1, 1),), names=('x', 'y'))",
+        "rows",
+    ),
+    "Certificate": (
+        lambda: Certificate("sorted_not_fg", (1, 0, 1), 1, Ordering((0, 1, 2))),
+        "Certificate(kind='sorted_not_fg', generator=(1, 0, 1), letter=1, "
+        "ordering=Ordering(rank=(0, 1, 2)))",
+        "ordering",
+    ),
+    "SatInstance": (
+        lambda: SatInstance(2, ((1, -2), (2,))),
+        "SatInstance(variable_count=2, clauses=((1, -2), (2,)))",
+        "clauses",
+    ),
+    "CoolSearchResult": (
+        lambda: CoolSearchResult(True, Ordering((1, 0)), 3),
+        "CoolSearchResult(found=True, ordering=Ordering(rank=(1, 0)), nodes_explored=3)",
+        "ordering",
+    ),
+    "PreimageWitness": (
+        lambda: PreimageWitness(False, (Monomial((2, 1)), 0)),
+        "PreimageWitness(verdict=False, violator=(Monomial(exponents=(2, 1)), 0))",
+        "violator",
+    ),
 }
 
 
@@ -814,9 +852,59 @@ def test_value_classes_compare_hash_and_freeze_their_fields(name):
         assert clone(value) == value and repr(clone(value)) == text
 
 
+def test_core_frozen_is_the_one_value_class_idiom():
+    # the table above has a row for every value class, and equality and
+    # hashing are written once, in _Frozen
+    classes, todo = set(), [core._Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.add(sub.__name__)
+            todo.append(sub)
+    assert classes == set(VALUES)
+    for path in pathlib.Path(core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name != "_Frozen":
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                assert not methods & {"__eq__", "__hash__"}, (path.name, node.name)
+            elif isinstance(node, ast.Import):
+                assert "dataclasses" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+
+
 def test_value_classes_differ_across_classes():
     assert Monomial((1,)) != Word((1,)) and Word((1,)) != Monomial((1,))
     assert FgWitness(True) == FgWitness(True, None) != FgWitness(False)
+    assert FgWitness(True) != PreimageWitness(True) and PreimageWitness(True) != FgWitness(True)
+    # equal fields, different classes
+    assert SatInstance(3, ((1, 2, 3),)) != NaeInstance(3, ((1, 2, 3),))
     assert EnumerationReport(4, (), True) != EnumerationReport(4, (), False)
     assert EnumerationReport(4, (), True) != EnumerationReport(5, (), True)
     assert pickle.loads(pickle.dumps(Ordering((2, 0, 1)))).sequence() == (1, 2, 0)
+
+
+def test_value_classes_take_keywords_and_defaults():
+    assert IneqSystem(rows=((1,),), thresholds=((1,),)) == IneqSystem(((1,),), ((1,),), None)
+    assert Certificate(kind="support3", generator=(1, 1, 1)) == Certificate(
+        "support3", (1, 1, 1), None, None)
+    assert PreimageWitness(verdict=True) == PreimageWitness(True, None)
+    assert repr(Certificate(kind="support3", generator=(1, 1, 1))) == (
+        "Certificate(kind='support3', generator=(1, 1, 1), letter=None, ordering=None)")
+
+
+def test_list_arguments_build_the_values_of_their_tuples():
+    for built, twin in [
+        (Monomial([1, 2, 1]), Monomial((1, 2, 1))),
+        (Word([0, 1]), Word((0, 1))),
+        (Ordering([1, 0, 2]), Ordering((1, 0, 2))),
+        (Alphabet(["a", "b"]), Alphabet(("a", "b"))),
+    ]:
+        assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+    with pytest.raises(MonoidealError, match="negative exponent -1"):
+        Monomial([1, -1])
+    with pytest.raises(MonoidealError, match="permutation"):
+        Ordering([0, 0])
+    # a b^2 c and a^3 b pass under b a c; a c fails at b under a b c
+    assert is_fg_sorted([Monomial([1, 2, 1]), Monomial([3, 1, 0])], Ordering([1, 0, 2])).verdict
+    assert is_fg_sorted([Monomial([1, 0, 1])], Ordering([0, 1, 2])) == FgWitness(
+        False, (Monomial((1, 0, 1)), 1))
