@@ -181,7 +181,7 @@ def _parse_clause_file(text: str, kind: str, make, clause_ok, clause_error: str)
     if variable_count is None:
         variable_count = max((abs(l) for c in clauses for l in c), default=0)
     try:
-        return make(variable_count, tuple(clauses))
+        return make(variable_count, clauses)
     except MonoidealError as exc:
         raise ParseError(str(exc)) from None
 

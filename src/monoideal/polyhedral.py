@@ -5,10 +5,11 @@ finite set W of threshold vectors; it presents the up-closed set of
 nonnegative integer vectors x with Ax >= w for some w in W.  The module
 supplies membership, minimal-generator enumeration by a depth-first
 search that carries each threshold's residual demand, unions, a
-convexity test by exact rational feasibility, verifiers for the three
-kinds of negative certificates, and the SAT reduction instance
-factories.  The coordinate box that bounds every minimal generator is
-not scanned; its size only serves the lattice budget.
+convexity test by exact rational feasibility on the grid of the
+members' column values, verifiers for the three kinds of negative
+certificates, and the SAT reduction instance factories.  The coordinate
+box that bounds every minimal generator is not scanned; its size only
+serves the lattice budget of that enumeration.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ class IneqSystem(_Frozen):
         names: tuple[str, ...] | None = None,
     ):
         # set first: the checks read ``ncols``
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "thresholds", tuple(map(tuple, thresholds)))
+        object.__setattr__(self, "names", None if names is None else tuple(names))
         for row in self.rows:
             _check_integers(row, "matrix entry")
             if any(a < 0 for a in row):
@@ -86,9 +87,8 @@ class IneqSystem(_Frozen):
         thresholds: Iterable[Sequence[int]],
         names: Sequence[str] | None = None,
     ) -> "IneqSystem":
-        rs = tuple(tuple(r) for r in rows)
-        ws = tuple(dict.fromkeys(tuple(w) for w in thresholds))
-        return IneqSystem(rs, ws, tuple(names) if names else None)
+        ws = dict.fromkeys(map(tuple, thresholds))
+        return IneqSystem(rows, tuple(ws), names or None)
 
     def to_json_dict(self) -> dict:
         out = {"A": [list(r) for r in self.rows], "W": [list(w) for w in self.thresholds]}
@@ -330,33 +330,34 @@ def convexity_check(
 ) -> bool:
     """Whether the ideal of M consists exactly of the lattice points above conv(M).
 
-    Scans the box [0, maxdeg+1]^n: the ideal is convex iff no box point in
-    the dominated-hull region lies outside the ideal.  Points that a
-    member divides are skipped before the exact feasibility test.  Each
-    box point may try every member subset of the hull test, so a scan of
-    more than ``budget`` (point, subset) pairs is refused before it starts.
+    It is not iff some non-member x lies above the hull, and then one lies
+    on the column grid, where coordinate j takes the values e - 1 for the
+    exponents e >= 1 of column j, and the column maximum.  Capping x at the
+    column maxima keeps it above the hull, which lies below the cap, and
+    outside the ideal.  Raising each coordinate to the least grid value at
+    or above it keeps it above the hull, and flips no comparison r_j <= x_j
+    with a member r: if r_j > x_j, r_j - 1 is a grid value at or above x_j.
+    So at most (k + 1)^n points are tested, whatever the exponents, each
+    against every member subset of the hull test, and a scan of more than
+    ``budget`` (point, subset) pairs is refused before it starts.
     """
     ms = monomial_set(M)
     if not ms:
         return True
-    n = ms[0].n
-    top = max(m.degree for m in ms) + 1
-    _check_box(top, n, budget)
-    points, subsets = (top + 1) ** n, math.comb(len(ms), min(len(ms), max(n, 1)))
+    exponents = [m.exponents for m in ms]
+    grid = [sorted({e - 1 for e in col if e} | {max(col)}) for col in zip(*exponents)]
+    points = math.prod(map(len, grid))
+    subsets = math.comb(len(ms), min(len(ms), max(len(grid), 1)))
     if points * subsets > budget:
         raise BudgetExceededError(
-            f"convexity scan of {points} box points times {subsets} member subsets "
+            f"convexity scan of {points} grid points times {subsets} member subsets "
             f"= {points * subsets} hull tests exceeds the budget {budget}"
         )
-    exponents = [m.exponents for m in ms]
     in_hull = _hull_test(exponents)
-    for point in itertools.product(range(top + 1), repeat=n):
-        # a point of the ideal is never a counterexample
-        if _some_row_divides(exponents, point):
-            continue
-        if in_hull(point):
-            return False
-    return True
+    # a point of the ideal is never a counterexample
+    return not any(
+        in_hull(x) for x in itertools.product(*grid) if not _some_row_divides(exponents, x)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,7 @@ class Certificate(_Frozen):
             raise MonoidealError(f"unknown certificate kind {kind!r}")
         if kind != "support3" and letter is None:
             raise MonoidealError(f"certificate kind {kind!r} requires a letter")
+        generator = tuple(generator)
         _check_integers(generator, "generator entry")
         if letter is not None:
             _check_integers([letter], "letter")
@@ -408,10 +410,7 @@ class Certificate(_Frozen):
             _check_integers(data["order"], "order entry")
             ordering = Ordering.from_sequence(tuple(data["order"]))
         return Certificate(
-            data["kind"],
-            tuple(data["generator"]),
-            data.get("letter"),
-            ordering,
+            data["kind"], tuple(data["generator"]), data.get("letter"), ordering
         )
 
 
@@ -467,6 +466,7 @@ class SatInstance(_Frozen):
     clauses: tuple[tuple[int, ...], ...]
 
     def __init__(self, variable_count: int, clauses: tuple[tuple[int, ...], ...]):
+        clauses = tuple(map(tuple, clauses))
         if variable_count < 1:
             raise MonoidealError("need at least one variable")
         for clause in clauses:

@@ -38,6 +38,7 @@ class TGraph(_Frozen):
     def __init__(
         self, vertex_count: int, edges: tuple[tuple[int, int], ...], tset: frozenset[int]
     ):
+        edges, tset = tuple(map(tuple, edges)), frozenset(tset)
         if vertex_count < 0:
             raise MonoidealError("vertex count must be nonnegative")
         seen = set()
@@ -62,8 +63,7 @@ class TGraph(_Frozen):
         edges: Iterable[tuple[int, int]],
         tset: Iterable[int] = (),
     ) -> "TGraph":
-        canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
-        return TGraph(vertex_count, tuple(canon), frozenset(tset))
+        return TGraph(vertex_count, sorted({(min(u, v), max(u, v)) for u, v in edges}), tset)
 
 
 class Orientation(_Frozen):
@@ -73,7 +73,7 @@ class Orientation(_Frozen):
     arcs: tuple[tuple[int, int], ...]
 
     def __init__(self, arcs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "arcs", tuple(map(tuple, arcs)))
 
     def edge_keys(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(u, v), max(u, v)) for u, v in self.arcs)
@@ -217,7 +217,7 @@ class _Solver:
         def descend(start: int) -> bool:
             pos = next((p for p in range(start, len(order)) if arcs[order[p]] is None), None)
             if pos is None:
-                solutions.append(Orientation(tuple(arcs)))
+                solutions.append(Orientation(arcs))
                 return limit is not None and len(solutions) >= limit
             i = order[pos]
             u, v = self.g.edges[i]
@@ -256,10 +256,7 @@ def ordering_to_orientation(g: TGraph, ord: Ordering) -> Orientation:
     """Direct every edge from the smaller to the larger endpoint."""
     if ord.n != g.vertex_count:
         raise MonoidealError("ordering size does not match the vertex count")
-    arcs = tuple(
-        (u, v) if ord.rank[u] < ord.rank[v] else (v, u) for u, v in g.edges
-    )
-    return Orientation(arcs)
+    return Orientation((u, v) if ord.rank[u] < ord.rank[v] else (v, u) for u, v in g.edges)
 
 
 def orientation_to_ordering(g: TGraph, o: Orientation) -> Ordering:
@@ -326,6 +323,7 @@ class NaeInstance(_Frozen):
     clauses: tuple[tuple[int, int, int], ...]
 
     def __init__(self, variable_count: int, clauses: tuple[tuple[int, int, int], ...]):
+        clauses = tuple(map(tuple, clauses))
         if variable_count < 0:
             raise MonoidealError("variable count must be nonnegative")
         for clause in clauses:

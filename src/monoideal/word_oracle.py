@@ -53,7 +53,7 @@ class EnumerationReport(_Frozen):
 
     def __init__(self, cap: int, minimal_generators: tuple[Word, ...], saturated: bool):
         object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "minimal_generators", minimal_generators)
+        object.__setattr__(self, "minimal_generators", tuple(minimal_generators))
         object.__setattr__(self, "saturated", saturated)
 
 

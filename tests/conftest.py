@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from operator import le
 from typing import Iterable, Sequence
 
@@ -357,3 +358,38 @@ def in_hull_plus_orthant(M: Sequence[Monomial], x: Sequence[int]) -> bool:
     if len(x) != ms[0].n:
         raise MonoidealError("vector length does not match the alphabet")
     return _hull_test([m.exponents for m in ms])(x)
+
+
+def convexity_by_box_scan(M: Sequence[Monomial]) -> bool:
+    """Referee for ``convexity_check``: the lattice box scan it replaced.
+
+    Every point of the box [0, maxdeg+1]^n that no member divides goes
+    through the package hull test; there is no budget.
+    """
+    ms = monomial_set(M)
+    if not ms:
+        return True
+    n = ms[0].n
+    top = max(m.degree for m in ms) + 1
+    exponents = [m.exponents for m in ms]
+    in_hull = _hull_test(exponents)
+    for point in itertools.product(range(top + 1), repeat=n):
+        # a point of the ideal is never a counterexample
+        if _some_row_divides(exponents, point):
+            continue
+        if in_hull(point):
+            return False
+    return True
+
+
+def random_convexity_sets(count: int, seed: int) -> Iterable[tuple[Monomial, ...]]:
+    """``count`` seeded sets of one to four members on two to four letters.
+
+    The largest entry falls as the letters grow (4, 3, 2), so each box
+    scan stays small.  Members need not form an antichain.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        rows = {tuple(rng.randint(0, 6 - n) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+        yield M(*sorted(rows))

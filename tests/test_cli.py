@@ -746,18 +746,22 @@ def test_cli_budget_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_box_budget_exceeded(tmp_path, capsys, monkeypatch):
-    # both commands count the points of their lattice box against the budget
+    # poly-mingens counts the points of its lattice box against the budget
     monkeypatch.setenv("MONOIDEAL_BUDGET", "1000")
     sys_file = tmp_path / "big.json"
     sys_file.write_text(json.dumps({"A": [[1] * 10], "W": [[9]]}))
     code, payload = run(capsys, "poly-mingens", str(sys_file))
     assert code == 3
     assert payload == {"error": "lattice box of 10000000000 points exceeds the budget 1000"}
+    # convexity counts grid points times member subsets: a^5 b^5 c^5 has a
+    # grid of {4, 5}^3 and one subset, where the box held 17^3 points
     mon = tmp_path / "wide.mon"
     mon.write_text("letters: a b c\na^5 b^5 c^5\n")
-    code, payload = run(capsys, "convexity", str(mon))
-    assert code == 3
-    assert payload == {"error": "lattice box of 4913 points exceeds the budget 1000"}
+    assert run(capsys, "convexity", str(mon)) == (0, {"convex": True})
+    monkeypatch.setenv("MONOIDEAL_BUDGET", "7")
+    assert run(capsys, "convexity", str(mon)) == (3, {"error": (
+        "convexity scan of 8 grid points times 1 member subsets "
+        "= 8 hull tests exceeds the budget 7")})
 
 
 def test_cli_convexity_subset_budget_exceeded(tmp_path, capsys):

@@ -898,8 +898,23 @@ def test_list_arguments_build_the_values_of_their_tuples():
         (Word([0, 1]), Word((0, 1))),
         (Ordering([1, 0, 2]), Ordering((1, 0, 2))),
         (Alphabet(["a", "b"]), Alphabet(("a", "b"))),
+        # nested fields are tuples at every level, and a vertex set is frozen
+        (NaeInstance(3, [[1, 2, 3]]), NaeInstance(3, ((1, 2, 3),))),
+        (SatInstance(3, [[1, -2]]), SatInstance(3, ((1, -2),))),
+        (Certificate("support3", [1, 1, 1]), Certificate("support3", (1, 1, 1))),
+        (TGraph(3, [[0, 1]], {0}), TGraph(3, ((0, 1),), frozenset({0}))),
+        (TGraph(3, iter([(0, 1)]), iter([2])), TGraph(3, ((0, 1),), frozenset({2}))),
+        (Orientation([[0, 1]]), Orientation(((0, 1),))),
+        (IneqSystem([[1]], [[1]], ["x"]), IneqSystem(((1,),), ((1,),), ("x",))),
+        (EnumerationReport(3, [Word((0,))], True), EnumerationReport(3, (Word((0,)),), True)),
     ]:
         assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+    with pytest.raises(MonoidealError, match="self-loop at vertex 0"):
+        TGraph(2, [[0, 0]], set())
+    with pytest.raises(MonoidealError, match="exactly three literals"):
+        NaeInstance(3, [[1, 2]])
+    with pytest.raises(MonoidealError, match="generator entry 1.0 is not an integer"):
+        Certificate("support3", [1.0])
     with pytest.raises(MonoidealError, match="negative exponent -1"):
         Monomial([1, -1])
     with pytest.raises(MonoidealError, match="permutation"):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from monoideal.core import (
     Ordering,
     divides,
 )
-from monoideal.crosscheck import antichains
+from monoideal.crosscheck import antichains, representative_antichains
 from monoideal.polyhedral import (
     Certificate,
     IneqSystem,
@@ -34,10 +35,12 @@ from monoideal.polyhedral import (
 
 from conftest import (
     M,
+    convexity_by_box_scan,
     in_hull_plus_orthant,
     is_antichain,
     is_minimal_generator,
     outcome,
+    random_convexity_sets,
 )
 
 HALF_PLANE5 = IneqSystem.make([[1, 1]], [[5]])
@@ -463,22 +466,56 @@ def test_convexity_matches_hull_scan_on_small_antichains():
 
 
 def test_convexity_budget_counts_hull_subsets():
-    # 35 members on four letters: 6^4 box points times C(35, 4) subsets each
+    # 35 members on four letters: each column takes 0..4, so 5^4 grid points
+    # times C(35, 4) subsets each
     quartics = M(*(e for e in itertools.product(range(5), repeat=4) if sum(e) == 4))
     with pytest.raises(BudgetExceededError) as info:
         convexity_check(quartics)
     assert str(info.value) == (
-        "convexity scan of 1296 box points times 52360 member subsets "
-        "= 67858560 hull tests exceeds the budget 10000000"
+        "convexity scan of 625 grid points times 52360 member subsets "
+        "= 32725000 hull tests exceeds the budget 10000000"
     )
-    # ten members on two letters: 22^2 points times C(10, 2) subsets
+    # ten members on two letters: 10 * 11 grid points times C(10, 2) subsets
     ten = M(*((i, 2 * (10 - i) + i % 2) for i in range(10)))
-    assert not convexity_check(ten, budget=484 * 45)
+    assert not convexity_check(ten, budget=110 * 45)
     with pytest.raises(BudgetExceededError):
-        convexity_check(ten, budget=484 * 45 - 1)
-    # three members on three letters try one subset: the box bound alone
+        convexity_check(ten, budget=110 * 45 - 1)
+    # three members on three letters try one subset at each of 3^3 grid points
     three = M((2, 1, 0), (0, 2, 1), (1, 0, 2))
-    assert convexity_check(three, budget=5**3) == convexity_check(three)
+    assert convexity_check(three, budget=3**3) == convexity_check(three)
+    with pytest.raises(BudgetExceededError):
+        convexity_check(three, budget=3**3 - 1)
+
+
+def test_convexity_matches_box_scan_referee():
+    # the grid scan against the lattice box scan it replaced
+    checked = 0
+    sets = itertools.chain(
+        representative_antichains(3, 3),
+        representative_antichains(2, 6),
+        random_convexity_sets(200, seed=11),
+    )
+    for ms in sets:
+        assert convexity_check(ms) == convexity_by_box_scan(ms), ms
+        checked += 1
+    assert checked == 498 + 748 + 200
+
+
+@pytest.mark.parametrize(
+    "members, convex",
+    [
+        (((2048, 0), (0, 1)), True),
+        (((2**62, 0), (0, 1)), True),
+        # the midpoint of the two powers, 2^61 a + 2^61 b, is not a member
+        (((2**62, 0), (0, 2**62), (2**61, 2**61 + 1)), False),
+    ],
+    ids=["a2048", "a2^62", "triple2^62"],
+)
+def test_convexity_cost_does_not_grow_with_the_exponents(members, convex):
+    # the box scan takes seconds on a^2048, b and refuses the 2^62 sets
+    start = time.process_time()
+    assert convexity_check(M(*members)) is convex
+    assert time.process_time() - start < 1.0
 
 
 def test_convexity_check():
