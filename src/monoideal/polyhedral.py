@@ -5,11 +5,11 @@ finite set W of threshold vectors; it presents the up-closed set of
 nonnegative integer vectors x with Ax >= w for some w in W.  The module
 supplies membership, minimal-generator enumeration by a depth-first
 search that carries each threshold's residual demand, unions, a
-convexity test by exact rational feasibility on the grid of the
-members' column values, verifiers for the three kinds of negative
-certificates, and the SAT reduction instance factories.  The coordinate
-box that bounds every minimal generator is not scanned; its size only
-serves the lattice budget of that enumeration.
+convexity test by one exact integer linear program at each point of
+the grid of the members' column values, verifiers for the three kinds
+of negative certificates, and the SAT reduction instance factories.
+The coordinate box that bounds every minimal generator is not scanned;
+its size only serves the lattice budget of that enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import math
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -114,6 +114,7 @@ def _check_vector(sys: IneqSystem, x: Sequence[int]) -> tuple[int, ...]:
         raise MonoidealError(
             f"vector of length {len(xt)} against a system with {sys.ncols} columns"
         )
+    _check_integers(xt, "vector entry")
     if any(v < 0 for v in xt):
         raise MonoidealError("vectors must be nonnegative")
     return xt
@@ -256,73 +257,58 @@ def union(systems: Sequence[IneqSystem]) -> IneqSystem:
 
 
 # ---------------------------------------------------------------------------
-# convexity via exact rational feasibility
+# convexity via one exact linear program per point
 
-def _fourier_motzkin_feasible(
-    constraints: list[tuple[list[int], int]], nvars: int
-) -> bool:
-    """Decide whether {lam : coeffs . lam <= rhs for all constraints} is nonempty.
+def _above_hull(rows: Sequence[tuple[int, ...]], x: Sequence[int]) -> bool:
+    """Whether x dominates a convex combination of the rows.
 
-    The coefficients are integers, and each elimination step combines two
-    constraints with positive integer multipliers, so the arithmetic stays
-    exact in plain integers.
+    The simplex method maximizes sum(lam) subject to sum_k lam_k r_k <= x
+    and lam >= 0.  The rows and x are nonnegative, so the slack basis
+    (lam = 0) is feasible, and a solution of value t >= 1 divided by t sums
+    to 1 and stays below x / t <= x: x is above the hull exactly when the
+    optimum reaches 1, and the search stops as soon as it does.  Bland's
+    rule (the lowest column enters; among the rows of least ratio, the one
+    of lowest basic index leaves) keeps degenerate pivots from cycling.
+
+    The tableau holds integers over the common denominator d, the last
+    pivot (Bareiss): every entry is d times that of the rational tableau,
+    and d is the basis determinant up to sign, so the update
+    (a * p - f * b) // d divides exactly and no exponent is rounded.
     """
-    cons = constraints
-    for var in range(nvars - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in cons:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, rhs))
-            elif c < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        for (pc, pr), (nc, nr) in itertools.product(pos, neg):
-            scale_p, scale_n = -nc[var], pc[var]
-            coeffs = [
-                scale_p * pc[i] + scale_n * nc[i] for i in range(var)
-            ]
-            rest.append((coeffs + [0] * (nvars - var), scale_p * pr + scale_n * nr))
-        cons = rest
-    return all(rhs >= 0 for _, rhs in cons)
-
-
-def _hull_test(rows: Sequence[tuple[int, ...]]) -> Callable[[Sequence[int]], bool]:
-    """Whether a point dominates a convex combination of the rows.
-
-    A point above the hull of the rows lies above the hull of at most n of
-    them (Caratheodory): pushed down along -(1, ..., 1) to the boundary of
-    the hull plus the orthant, it lies in a proper face, of dimension at
-    most n - 1.  So each test tries every subset of min(k, max(n, 1)) rows,
-    and Fourier-Motzkin eliminates at most n - 1 variables; with k <= n
-    the one subset is the rows in their order.  The constraints that do not
-    depend on the point are built once; each test adds only the right-hand
-    sides of the per-column constraints.
-    """
-    n = len(rows[0])
-    # variables lam_0..lam_{nv-1}; a subset's last row has 1 - sum of the others
-    nv = min(len(rows), max(n, 1)) - 1
-    fixed: list[tuple[list[int], int]] = []
-    for i in range(nv):
-        coeffs = [0] * nv
-        coeffs[i] = -1
-        fixed.append((coeffs, 0))  # lam_i >= 0
-    fixed.append(([1] * nv, 1))  # lam_last >= 0
-    subsets = [
-        (subset[-1], [[row[j] - subset[-1][j] for row in subset[:nv]] for j in range(n)])
-        for subset in itertools.combinations(rows, nv + 1)
+    n, k = len(x), len(rows)
+    # one row per letter over lam_0..lam_{k-1}, the n slacks and the bound;
+    # the objective row reads z - sum(lam) = 0
+    tableau = [
+        [r[j] for r in rows] + [int(i == j) for i in range(n)] + [x[j]] for j in range(n)
     ]
-
-    def test(x: Sequence[int]) -> bool:
-        return any(
-            _fourier_motzkin_feasible(
-                fixed + [(c, xj - lj) for c, xj, lj in zip(columns, x, last)], nv
-            )
-            for last, columns in subsets
-        )
-
-    return test
+    objective = [-1] * k + [0] * (n + 1)
+    basis = list(range(k, k + n))
+    d = 1
+    while objective[-1] < d:
+        c = next((j for j, v in enumerate(objective[:-1]) if v < 0), None)
+        if c is None:
+            return False  # optimal below 1
+        r = None
+        for i, row in enumerate(tableau):
+            if row[c] > 0:
+                if r is None:
+                    r = i
+                    continue
+                # compare the ratios row[-1] / row[c] across positive denominators
+                gap = row[-1] * tableau[r][c] - tableau[r][-1] * row[c]
+                if gap < 0 or gap == 0 and basis[i] < basis[r]:
+                    r = i
+        if r is None:
+            return True  # unbounded
+        pivot = tableau[r]
+        p = pivot[c]
+        for row in tableau + [objective]:
+            if row is not pivot:
+                f = row[c]
+                row[:] = [(a * p - f * b) // d for a, b in zip(row, pivot)]
+        basis[r] = c
+        d = p
+    return True
 
 
 def convexity_check(
@@ -337,9 +323,10 @@ def convexity_check(
     outside the ideal.  Raising each coordinate to the least grid value at
     or above it keeps it above the hull, and flips no comparison r_j <= x_j
     with a member r: if r_j > x_j, r_j - 1 is a grid value at or above x_j.
-    So at most (k + 1)^n points are tested, whatever the exponents, each
-    against every member subset of the hull test, and a scan of more than
-    ``budget`` (point, subset) pairs is refused before it starts.
+    So at most (k + 1)^n points are tested, whatever the exponents, each by
+    one exact linear program (``_above_hull``: the largest sum(lam) with
+    sum_k lam_k r_k <= x reaches 1), and a grid of more than ``budget``
+    points is refused before the scan starts.
     """
     ms = monomial_set(M)
     if not ms:
@@ -347,16 +334,15 @@ def convexity_check(
     exponents = [m.exponents for m in ms]
     grid = [sorted({e - 1 for e in col if e} | {max(col)}) for col in zip(*exponents)]
     points = math.prod(map(len, grid))
-    subsets = math.comb(len(ms), min(len(ms), max(len(grid), 1)))
-    if points * subsets > budget:
+    if points > budget:
         raise BudgetExceededError(
-            f"convexity scan of {points} grid points times {subsets} member subsets "
-            f"= {points * subsets} hull tests exceeds the budget {budget}"
+            f"convexity scan of {points} grid points exceeds the budget {budget}"
         )
-    in_hull = _hull_test(exponents)
     # a point of the ideal is never a counterexample
     return not any(
-        in_hull(x) for x in itertools.product(*grid) if not _some_row_divides(exponents, x)
+        _above_hull(exponents, x)
+        for x in itertools.product(*grid)
+        if not _some_row_divides(exponents, x)
     )
 
 

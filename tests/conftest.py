@@ -3,7 +3,7 @@ import itertools
 import math
 import random
 from operator import le
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -24,7 +24,7 @@ from monoideal.core import (
 )
 from monoideal.cool_orderings import helps
 from monoideal.crosscheck import representative_quadratic_sets
-from monoideal.polyhedral import IneqSystem, _check_vector, _hull_test, _is_minimal
+from monoideal.polyhedral import IneqSystem, _check_vector, _is_minimal
 from monoideal.sorted_ideal import FgWitness, _scan_order
 from monoideal.torientation import (
     Orientation,
@@ -350,6 +350,76 @@ def is_minimal_generator(sys: IneqSystem, x: Sequence[int]) -> bool:
     return _is_minimal(sys, _check_vector(sys, x))
 
 
+# The hull test that convexity_check ran before its linear program, verbatim:
+# Fourier-Motzkin over the Caratheodory member subsets.  It shares no code
+# with ``polyhedral._above_hull`` and referees it.
+def _fourier_motzkin_feasible(
+    constraints: list[tuple[list[int], int]], nvars: int
+) -> bool:
+    """Decide whether {lam : coeffs . lam <= rhs for all constraints} is nonempty.
+
+    The coefficients are integers, and each elimination step combines two
+    constraints with positive integer multipliers, so the arithmetic stays
+    exact in plain integers.
+    """
+    cons = constraints
+    for var in range(nvars - 1, -1, -1):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs in cons:
+            c = coeffs[var]
+            if c > 0:
+                pos.append((coeffs, rhs))
+            elif c < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        for (pc, pr), (nc, nr) in itertools.product(pos, neg):
+            scale_p, scale_n = -nc[var], pc[var]
+            coeffs = [
+                scale_p * pc[i] + scale_n * nc[i] for i in range(var)
+            ]
+            rest.append((coeffs + [0] * (nvars - var), scale_p * pr + scale_n * nr))
+        cons = rest
+    return all(rhs >= 0 for _, rhs in cons)
+
+
+def _hull_test(rows: Sequence[tuple[int, ...]]) -> Callable[[Sequence[int]], bool]:
+    """Whether a point dominates a convex combination of the rows.
+
+    A point above the hull of the rows lies above the hull of at most n of
+    them (Caratheodory): pushed down along -(1, ..., 1) to the boundary of
+    the hull plus the orthant, it lies in a proper face, of dimension at
+    most n - 1.  So each test tries every subset of min(k, max(n, 1)) rows,
+    and Fourier-Motzkin eliminates at most n - 1 variables; with k <= n
+    the one subset is the rows in their order.  The constraints that do not
+    depend on the point are built once; each test adds only the right-hand
+    sides of the per-column constraints.
+    """
+    n = len(rows[0])
+    # variables lam_0..lam_{nv-1}; a subset's last row has 1 - sum of the others
+    nv = min(len(rows), max(n, 1)) - 1
+    fixed: list[tuple[list[int], int]] = []
+    for i in range(nv):
+        coeffs = [0] * nv
+        coeffs[i] = -1
+        fixed.append((coeffs, 0))  # lam_i >= 0
+    fixed.append(([1] * nv, 1))  # lam_last >= 0
+    subsets = [
+        (subset[-1], [[row[j] - subset[-1][j] for row in subset[:nv]] for j in range(n)])
+        for subset in itertools.combinations(rows, nv + 1)
+    ]
+
+    def test(x: Sequence[int]) -> bool:
+        return any(
+            _fourier_motzkin_feasible(
+                fixed + [(c, xj - lj) for c, xj, lj in zip(columns, x, last)], nv
+            )
+            for last, columns in subsets
+        )
+
+    return test
+
+
 def in_hull_plus_orthant(M: Sequence[Monomial], x: Sequence[int]) -> bool:
     """Whether x dominates a convex combination of the members of M."""
     ms = monomial_set(M)
@@ -364,7 +434,7 @@ def convexity_by_box_scan(M: Sequence[Monomial]) -> bool:
     """Referee for ``convexity_check``: the lattice box scan it replaced.
 
     Every point of the box [0, maxdeg+1]^n that no member divides goes
-    through the package hull test; there is no budget.
+    through the subset hull test above; there is no budget.
     """
     ms = monomial_set(M)
     if not ms:

@@ -671,7 +671,7 @@ def test_cli_reduce_sat_and_convexity(tmp_path, capsys):
     code, payload = run(capsys, "convexity", str(mon))
     assert code == 1 and payload == {"convex": False}
 
-    # ten members on two letters: the hull test tries them two at a time
+    # ten members on two letters
     mon.write_text("".join(f"[{i},{2 * (10 - i) + i % 2}]\n" for i in range(10)))
     code, payload = run(capsys, "convexity", str(mon))
     assert code == 1 and payload == {"convex": False}
@@ -753,25 +753,27 @@ def test_cli_box_budget_exceeded(tmp_path, capsys, monkeypatch):
     code, payload = run(capsys, "poly-mingens", str(sys_file))
     assert code == 3
     assert payload == {"error": "lattice box of 10000000000 points exceeds the budget 1000"}
-    # convexity counts grid points times member subsets: a^5 b^5 c^5 has a
-    # grid of {4, 5}^3 and one subset, where the box held 17^3 points
+    # convexity counts grid points: a^5 b^5 c^5 has a grid of {4, 5}^3,
+    # where the box held 17^3 points
     mon = tmp_path / "wide.mon"
     mon.write_text("letters: a b c\na^5 b^5 c^5\n")
     assert run(capsys, "convexity", str(mon)) == (0, {"convex": True})
     monkeypatch.setenv("MONOIDEAL_BUDGET", "7")
     assert run(capsys, "convexity", str(mon)) == (3, {"error": (
-        "convexity scan of 8 grid points times 1 member subsets "
-        "= 8 hull tests exceeds the budget 7")})
+        "convexity scan of 8 grid points exceeds the budget 7")})
 
 
-def test_cli_convexity_subset_budget_exceeded(tmp_path, capsys):
-    # a box of 1296 points, with C(35, 4) member subsets to try at each
+def test_cli_convexity_grid_budget_exceeded(tmp_path, capsys, monkeypatch):
+    # the 35 quartics on four letters: a grid of 625 points, one linear
+    # program at each point no member divides
     mon = tmp_path / "quartics.mon"
     mon.write_text("letters: a b c d\n" + "".join(
         " ".join(f"{x}^{e}" for x, e in zip("abcd", row) if e) + "\n"
         for row in itertools.product(range(5), repeat=4) if sum(row) == 4))
-    code, payload = run(capsys, "convexity", str(mon))
-    assert code == 3 and "52360 member subsets" in payload["error"]
+    assert run(capsys, "convexity", str(mon)) == (0, {"convex": True})
+    monkeypatch.setenv("MONOIDEAL_BUDGET", "624")
+    assert run(capsys, "convexity", str(mon)) == (3, {"error": (
+        "convexity scan of 625 grid points exceeds the budget 624")})
 
 
 def test_cli_huge_exponents(tmp_path, capsys, monkeypatch):

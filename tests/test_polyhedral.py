@@ -33,6 +33,7 @@ from monoideal.polyhedral import (
     verify_certificate,
 )
 
+import conftest
 from conftest import (
     M,
     convexity_by_box_scan,
@@ -53,6 +54,12 @@ def test_membership():
     assert not membership(empty, (9, 9))
     with pytest.raises(MonoidealError):
         membership(HALF_PLANE5, (1, 2, 3))
+    # a vector entry must be an integer, as a matrix or threshold entry must
+    system = IneqSystem.make([[1, 1]], [[2]])
+    for x, message in (((0.5, 1.5), "vector entry 0.5"), (("1", 1), "vector entry '1'")):
+        with pytest.raises(MonoidealError) as info:
+            membership(system, x)
+        assert str(info.value) == f"{message} is not an integer"
 
 
 def test_is_minimal_generator():
@@ -411,10 +418,11 @@ def _hull_sets_with_more_members_than_letters():
 
 
 def test_hull_subsets_match_whole_set_referee():
+    # the linear program and the subset referee against the whole-set referee
     checked = 0
     for ms in _hull_sets_with_more_members_than_letters():
         rows = [m.exponents for m in ms]
-        in_hull, referee = polyhedral._hull_test(rows), _ref_hull_test(rows)
+        subsets, referee = conftest._hull_test(rows), _ref_hull_test(rows)
         top = max(m.degree for m in ms) + 1
         convex = True
         # the box of the convexity scan, less the points a member divides
@@ -422,14 +430,17 @@ def test_hull_subsets_match_whole_set_referee():
             if any(divides(m, Monomial(point)) for m in ms):
                 continue
             verdict = referee(point)
-            assert in_hull(point) == verdict, (ms, point)
+            assert polyhedral._above_hull(rows, point) == verdict, (ms, point)
+            assert subsets(point) == verdict, (ms, point)
             convex = convex and not verdict
         assert in_hull_plus_orthant(ms, (top,) * ms[0].n)
+        assert polyhedral._above_hull(rows, (top,) * ms[0].n)
         assert convexity_check(ms) == convex, ms
         checked += 1
     assert checked == 1230
     # no letters: the empty monomial lies above itself
     assert in_hull_plus_orthant([Monomial(())], ()) and _ref_hull_test([()])(())
+    assert polyhedral._above_hull([()], ())
     assert convexity_check([Monomial(())]) == _convexity_by_hull_scan(M(()))
 
 
@@ -439,15 +450,16 @@ def test_hull_subsets_match_whole_set_referee():
     ids=["four", "ten"],
 )
 def test_hull_eliminates_at_most_n_minus_one_variables(monkeypatch, members):
+    # the subset referee's Caratheodory bound
     seen = []
-    feasible = polyhedral._fourier_motzkin_feasible
+    feasible = conftest._fourier_motzkin_feasible
 
     def recording(constraints, nvars):
         seen.append(nvars)
         return feasible(constraints, nvars)
 
-    monkeypatch.setattr(polyhedral, "_fourier_motzkin_feasible", recording)
-    assert not convexity_check(M(*members))
+    monkeypatch.setattr(conftest, "_fourier_motzkin_feasible", recording)
+    assert not convexity_by_box_scan(M(*members))
     assert seen and max(seen) <= 1  # n - 1 for two letters
 
 
@@ -465,22 +477,21 @@ def test_convexity_matches_hull_scan_on_small_antichains():
     assert checked == 556
 
 
-def test_convexity_budget_counts_hull_subsets():
-    # 35 members on four letters: each column takes 0..4, so 5^4 grid points
-    # times C(35, 4) subsets each
+def test_convexity_budget_counts_grid_points():
+    # 35 members on four letters: each column takes 0..4, so 5^4 grid points.
+    # Convex: a point outside the ideal has degree at most 3, a point above
+    # the hull at least 4 (the box scan would try C(35, 4) subsets at each)
     quartics = M(*(e for e in itertools.product(range(5), repeat=4) if sum(e) == 4))
+    assert convexity_check(quartics, budget=5**4)
     with pytest.raises(BudgetExceededError) as info:
-        convexity_check(quartics)
-    assert str(info.value) == (
-        "convexity scan of 625 grid points times 52360 member subsets "
-        "= 32725000 hull tests exceeds the budget 10000000"
-    )
-    # ten members on two letters: 10 * 11 grid points times C(10, 2) subsets
+        convexity_check(quartics, budget=5**4 - 1)
+    assert str(info.value) == "convexity scan of 625 grid points exceeds the budget 624"
+    # ten members on two letters: 10 * 11 grid points
     ten = M(*((i, 2 * (10 - i) + i % 2) for i in range(10)))
-    assert not convexity_check(ten, budget=110 * 45)
+    assert not convexity_check(ten, budget=110)
     with pytest.raises(BudgetExceededError):
-        convexity_check(ten, budget=110 * 45 - 1)
-    # three members on three letters try one subset at each of 3^3 grid points
+        convexity_check(ten, budget=109)
+    # three members on three letters: 3^3 grid points
     three = M((2, 1, 0), (0, 2, 1), (1, 0, 2))
     assert convexity_check(three, budget=3**3) == convexity_check(three)
     with pytest.raises(BudgetExceededError):
@@ -508,11 +519,15 @@ def test_convexity_matches_box_scan_referee():
         (((2**62, 0), (0, 1)), True),
         # the midpoint of the two powers, 2^61 a + 2^61 b, is not a member
         (((2**62, 0), (0, 2**62), (2**61, 2**61 + 1)), False),
+        # every monomial of degree 6 on three letters and of degree 4 on four
+        (tuple(e for e in itertools.product(range(7), repeat=3) if sum(e) == 6), True),
+        (tuple(e for e in itertools.product(range(5), repeat=4) if sum(e) == 4), True),
     ],
-    ids=["a2048", "a2^62", "triple2^62"],
+    ids=["a2048", "a2^62", "triple2^62", "abc^6", "abcd^4"],
 )
 def test_convexity_cost_does_not_grow_with_the_exponents(members, convex):
-    # the box scan takes seconds on a^2048, b and refuses the 2^62 sets
+    # the box scan takes seconds on a^2048, b and refuses the 2^62 sets; the
+    # members n at a time took seconds on (a,b,c)^6 and refused (a,b,c,d)^4
     start = time.process_time()
     assert convexity_check(M(*members)) is convex
     assert time.process_time() - start < 1.0
